@@ -132,19 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="restrict to these workloads")
     _add_common_options(experiment, suppress=True)
 
-    workloads = sub.add_parser("workloads", help="list workload profiles")
-    workloads_sub = workloads.add_subparsers(dest="workloads_command")
-    period = workloads_sub.add_parser(
-        "period",
-        help="detect a workload trace's steady-state period and predict "
-             "fast-forward coverage")
-    period.add_argument("workload", choices=sorted(PROFILES))
-    period.add_argument("--records", type=int, default=None, metavar="N",
-                        help="trace length (default: current scale's)")
-    period.add_argument("--warmup", type=int, default=None, metavar="N",
-                        help="warm-up records (default: current scale's)")
-    period.add_argument("--scale", choices=sorted(SCALES), default=None,
-                        help="take records/warmup from this scale preset")
+    sub.add_parser("workloads", help="list workload profiles")
 
     describe = sub.add_parser("describe",
                               help="print a workload's static structure")
@@ -477,40 +465,6 @@ def _run_workloads() -> int:
     return 0
 
 
-def _run_workloads_period(args) -> int:
-    """``repro workloads period``: trace periodicity + skip forecast."""
-    from repro.workloads import compile_trace
-    from repro.workloads.cache import build_trace
-
-    scale = SCALES[args.scale] if args.scale else current_scale()
-    n_records = args.records if args.records is not None else scale.records
-    warmup = args.warmup if args.warmup is not None else scale.warmup
-    records = build_trace(args.workload, n_records)
-    detected = compile_trace(records).period()
-    if detected is None:
-        print(f"{args.workload}: no detected period over {n_records} "
-              f"records (aperiodic trace; fast-forward falls back to "
-              f"plain stepping)")
-        return 0
-    period, preamble = detected
-    periods = (n_records - preamble) // period
-    print(f"{args.workload}: period {period} records, preamble {preamble} "
-          f"({periods} whole periods in {n_records} records)")
-    # Mirrors FastForward's feasibility rule with quantum == period
-    # (interval telemetry widens the quantum to lcm(period, window)).
-    first = max(warmup + 1, preamble, 1)
-    if first + 2 * period > n_records:
-        print(f"  fast-forward infeasible at warmup {warmup}: first probe "
-              f"at {first} needs {first + 2 * period} <= {n_records}")
-        return 0
-    earliest_skip = first + period
-    coverage = ((n_records - earliest_skip) // period) * period
-    print(f"  first probe at {first}, quantum {period}; predicted "
-          f"fast-forward coverage up to {coverage} records "
-          f"({100.0 * coverage / n_records:.1f}%) at warmup {warmup}")
-    return 0
-
-
 def _run_describe(args) -> int:
     program = build_program(args.workload)
     print(program.describe())
@@ -593,9 +547,7 @@ def _run_stats_run(args) -> int:
                 simulator.run(records, warmup=scale.warmup)
             if ledger is not None:
                 ledger.cell(cell_id, "simulate", mode="object",
-                            fallback_reason=None,
-                            fastforward=getattr(
-                                simulator, "fastforward_summary", None))
+                            fallback_reason=None)
     except Exception as error:
         if ledger is not None:
             ledger.cell(cell_id, "error", error=repr(error))
@@ -1227,8 +1179,6 @@ def _dispatch(args) -> int:
     if args.command == "experiment":
         return _run_experiment(args)
     if args.command == "workloads":
-        if getattr(args, "workloads_command", None) == "period":
-            return _run_workloads_period(args)
         return _run_workloads()
     if args.command == "describe":
         return _run_describe(args)
@@ -1282,9 +1232,6 @@ def _ledgered_command(args) -> str | None:
         return None
     if args.command == "attrib" and args.attrib_command == "run":
         return f"attrib run {args.workload} --config {args.config}"
-    if (args.command == "workloads"
-            and getattr(args, "workloads_command", None) == "period"):
-        return f"workloads period {args.workload}"
     if args.command == "bench" and args.bench_command == "run":
         return "bench run"
     if args.command == "intervals" and args.intervals_command == "run":

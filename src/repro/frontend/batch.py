@@ -51,7 +51,6 @@ from collections import deque
 from repro.core.sbb import SBBEntry
 from repro.frontend.btb import BTBEntry
 from repro.frontend.engine import FrontEndSimulator
-from repro.frontend.fastforward import plan_compiled
 from repro.frontend.stats import SimStats
 from repro.isa.branch import BranchKind
 from repro.obs.profiler import PROFILER
@@ -211,15 +210,13 @@ def note_object_fallback(simulator: FrontEndSimulator) -> str:
     """Record that ``simulator``'s cell degraded to the object path.
 
     Counts the reason process-wide (:func:`fallback_counts`), logs it
-    once per run, and registers a ``batch.object_path_fallback`` gauge
-    in the cell's own metrics registry so the degradation shows up in
-    its metric snapshot.  Returns the reason so callers (the harness)
-    can attach it to the cell's run-ledger record.
+    once per run, and returns it so callers (the harness) can attach it
+    to the cell's run-ledger record.  Nothing is added to the cell's
+    metric snapshot: the path taken is a host fact, and snapshots are
+    stored under a key that does not say which path produced them.
     """
     reason = batch_unsupported_reason(simulator) or "unsupported cell"
     note_fallback(reason)
-    simulator.metrics.scope("batch").gauge("object_path_fallback",
-                                           lambda: 1.0)
     return reason
 
 
@@ -237,20 +234,12 @@ def reset_fallbacks() -> None:
 class _Lane:
     """One cell's replay state, advanced chunk by chunk."""
 
-    def __init__(self, simulator: FrontEndSimulator, table, warmup: int,
-                 ff=None):
+    def __init__(self, simulator: FrontEndSimulator, table, warmup: int):
         self.sim = simulator
         self.table = table
         self.warmup = warmup
         self.n_records = table.n_records
         self.rows = _lane_rows(table, simulator)
-
-        # Fast-forward controller (repro.frontend.fastforward); the lane
-        # passes *itself* as the probe's state carrier -- its attribute
-        # names match ProbeState's.  ``_resume`` marks where a skip
-        # landed: lockstep chunks before it are already accounted for.
-        self.ff = ff
-        self._resume = 0
 
         # Scheduler state (persists across chunks; mirrors the engine).
         self.iag_free = 0.0
@@ -278,32 +267,6 @@ class _Lane:
             self.next_boundary = self.intervals.interval_size
 
     def advance(self, start: int, stop: int) -> None:
-        """Advance through records [start, stop), probing for skips.
-
-        Chunks at or before a fast-forward skip's landing point are
-        already accounted for and no-op; otherwise the segment splits at
-        the controller's probe indices.  The kernel flushes every
-        chunk-local accumulator at the end of each ``_advance``, so the
-        state a probe digests is exact.
-        """
-        if start < self._resume:
-            start = self._resume
-            if start >= stop:
-                return
-        ff = self.ff
-        if ff is not None:
-            while ff.active and start <= ff.next_probe < stop:
-                probe = ff.next_probe
-                if probe > start:
-                    self._advance_segment(start, probe)
-                start = ff.on_probe(probe, self)
-                self.processed = start
-                self._resume = start
-                if start >= stop:
-                    return
-        self._advance_segment(start, stop)
-
-    def _advance_segment(self, start: int, stop: int) -> None:
         """Advance through records [start, stop).
 
         Splits the segment at interval-window boundaries (emitting one
@@ -1054,8 +1017,6 @@ class _Lane:
         """Final stats assembly; mirrors the engine's loop epilogue."""
         sim = self.sim
         stats = sim.stats
-        if self.ff is not None:
-            self.ff.finalize()
         if self.intervals is not None:
             self.intervals.finish(
                 self.processed, stats, self.counted_instructions,
@@ -1099,8 +1060,7 @@ class BatchedFrontEndSimulator:
             raise BatchUnsupported(
                 f"{reason}; run the cell on the object path")
         table = compiled.decode_table(simulator.config.line_size)
-        ff = plan_compiled(simulator, compiled, warmup)
-        self._lanes.append(_Lane(simulator, table, warmup, ff=ff))
+        self._lanes.append(_Lane(simulator, table, warmup))
 
     def run(self) -> list[SimStats]:
         """Run every lane to completion; stats in ``add_lane`` order."""

@@ -30,12 +30,6 @@ from repro.core.skia import Skia
 from repro.frontend.bpu import BranchPredictionUnit
 from repro.frontend.caches import CacheHierarchy
 from repro.frontend.config import FrontEndConfig
-from repro.frontend.fastforward import (
-    ProbeState,
-    note_fallback,
-    plan_compiled,
-    plan_records,
-)
 from repro.frontend.stats import SimStats
 from repro.obs import (
     EventTrace,
@@ -44,7 +38,6 @@ from repro.obs import (
     TimelineRecorder,
     snapshot_from_stats,
 )
-from repro.workloads.compiled import fastforward_enabled
 from repro.workloads.program import Program
 from repro.workloads.trace import BlockRecord
 
@@ -72,8 +65,7 @@ class FrontEndSimulator:
         self.timeline: TimelineRecorder | None = None
         self.attribution = None
         self.intervals: IntervalCollector | None = None
-        #: Outcome of the last run's fast-forward planning (see
-        #: repro.frontend.fastforward); read by the harness for ledgers.
+        # Always None; read only by perfbench/traced.py.
         self.fastforward_summary: dict | None = None
         self._records_seen = 0
         self._register_metrics()
@@ -226,208 +218,166 @@ class FrontEndSimulator:
         cycles_at_count_start = 0.0
         wrong_path_fills_at_count_start = 0
 
-        if records is not None:
-            ff = plan_records(self, records, warmup)
-        else:
-            ff = None
-            if fastforward_enabled():
-                note_fallback("generator input")
-                self.fastforward_summary = {
-                    "engaged": False, "reason": "generator input"}
+        for index, record in enumerate(stream):
+            if not counting and index >= warmup:
+                counting = True
+                cycles_at_count_start = retire_free
+                wrong_path_fills_at_count_start = hierarchy.wrong_path_fills
+            stats_arg = stats if counting else None
 
-        n_total = len(records) if records is not None else 0
-        ff_segment = 0
-        while True:
-            if ff is not None and ff.active and ff.next_probe < n_total:
-                ff_stop = ff.next_probe
-                source = ((i, records[i])
-                          for i in range(ff_segment, ff_stop))
-            else:
-                ff_stop = -1
-                source = (enumerate(stream) if ff_segment == 0 else
-                          ((i, records[i])
-                           for i in range(ff_segment, n_total)))
-            for index, record in source:
-                if not counting and index >= warmup:
-                    counting = True
-                    cycles_at_count_start = retire_free
-                    wrong_path_fills_at_count_start = hierarchy.wrong_path_fills
-                stats_arg = stats if counting else None
+            # ----- IAG: allocate the FTQ entry ------------------------
+            iag_t = iag_free
+            while ftq_inflight and ftq_inflight[0] <= iag_t:
+                ftq_inflight.popleft()
+            if len(ftq_inflight) >= ftq_size:
+                iag_t = ftq_inflight.popleft()
 
-                # ----- IAG: allocate the FTQ entry ------------------------
-                iag_t = iag_free
-                while ftq_inflight and ftq_inflight[0] <= iag_t:
-                    ftq_inflight.popleft()
-                if len(ftq_inflight) >= ftq_size:
-                    iag_t = ftq_inflight.popleft()
+            records_seen += 1
+            if trace is not None:
+                trace.record_index = index
 
-                records_seen += 1
-                if trace is not None:
-                    trace.record_index = index
+            branch_line_present = hierarchy.line_present(record.branch_pc)
+            prediction = bpu.process(record, branch_line_present, stats_arg)
 
-                branch_line_present = hierarchy.line_present(record.branch_pc)
-                prediction = bpu.process(record, branch_line_present, stats_arg)
-
-                # ----- Prefetch the entry's lines -------------------------
-                block_end = record.branch_pc + record.branch_len
-                first_line = record.block_start & line_mask
-                last_line = (block_end - 1) & line_mask
-                n_lines = (last_line - first_line) // line_size + 1
-                lines_ready = iag_t
-                line = first_line
-                while line <= last_line:
-                    hit, ready, level = hierarchy.access(line, iag_t)
-                    if ready > lines_ready:
-                        lines_ready = ready
-                    if counting:
-                        stats.l1i_accesses += 1
-                        if not hit:
-                            stats.l1i_misses += 1
-                            if level >= 3:
-                                stats.l2_misses += 1
-                            if level >= 4:
-                                stats.l3_misses += 1
-                    line += line_size
-
-                # ----- Skia: shadow-decode this entry's lines --------------
-                if skia is not None:
-                    if timeline is not None:
-                        # SBD runs when the entry's prefetch completes; give
-                        # its span emitter that timestamp.
-                        timeline.now = lines_ready
-                    exit_pc = block_end if record.taken else None
-                    skia.on_ftq_entry(
-                        entry_pc=record.block_start,
-                        entered_by_taken_branch=prev_taken,
-                        exit_pc=exit_pc,
-                        line_present=hierarchy.line_present,
-                        stats=stats_arg)
-
-                # ----- Fetch ------------------------------------------------
-                fetch_start = max(fetch_free, iag_t + iag_to_fetch)
-                fetch_stall = 0.0
-                if lines_ready > fetch_start:
-                    fetch_stall = lines_ready - fetch_start
-                    if counting:
-                        stats.fetch_stall_cycles += fetch_stall
-                    fetch_start = lines_ready
-                fetch_done = fetch_start + n_lines
-                fetch_free = fetch_done
-                ftq_inflight.append(fetch_done)
-
-                # ----- Decode ----------------------------------------------
-                input_ready = fetch_done + fetch_to_decode
-                decode_start = max(decode_free, input_ready)
-                decode_idle = decode_start - decode_free
+            # ----- Prefetch the entry's lines -------------------------
+            block_end = record.branch_pc + record.branch_len
+            first_line = record.block_start & line_mask
+            last_line = (block_end - 1) & line_mask
+            n_lines = (last_line - first_line) // line_size + 1
+            lines_ready = iag_t
+            line = first_line
+            while line <= last_line:
+                hit, ready, level = hierarchy.access(line, iag_t)
+                if ready > lines_ready:
+                    lines_ready = ready
                 if counting:
-                    stats.decoder_idle_cycles += decode_idle
-                decode_done = decode_start + (
-                    (record.n_instr + decode_width - 1) // decode_width)
-                decode_free = decode_done
+                    stats.l1i_accesses += 1
+                    if not hit:
+                        stats.l1i_misses += 1
+                        if level >= 3:
+                            stats.l2_misses += 1
+                        if level >= 4:
+                            stats.l3_misses += 1
+                line += line_size
 
-                # ----- Retire ----------------------------------------------
-                retire_start = max(retire_free, decode_done + 1)
-                retire_free = retire_start + record.n_instr / backend_width
-
-                # ----- Timeline: one span per stage, instants for BPU events
+            # ----- Skia: shadow-decode this entry's lines --------------
+            if skia is not None:
                 if timeline is not None:
-                    name = f"0x{record.block_start:x}"
-                    timeline.span("iag", name, iag_t, 1.0, index=index)
-                    if not prediction.btb_hit:
-                        timeline.instant("iag", "btb_miss", iag_t,
-                                         pc=record.branch_pc)
-                    if prediction.sbb_hit is not None:
-                        timeline.instant(
-                            "iag", f"sbb_hit:{prediction.sbb_hit}", iag_t,
-                            pc=record.branch_pc, used=prediction.used_sbb)
-                    timeline.span("fetch", name, fetch_start,
-                                  fetch_done - fetch_start, lines=n_lines,
-                                  stall=fetch_stall)
-                    timeline.span("decode", name, decode_start,
-                                  decode_done - decode_start,
-                                  instructions=record.n_instr, idle=decode_idle)
-                    timeline.span("retire", name, retire_start,
-                                  retire_free - retire_start)
+                    # SBD runs when the entry's prefetch completes; give
+                    # its span emitter that timestamp.
+                    timeline.now = lines_ready
+                exit_pc = block_end if record.taken else None
+                skia.on_ftq_entry(
+                    entry_pc=record.block_start,
+                    entered_by_taken_branch=prev_taken,
+                    exit_pc=exit_pc,
+                    line_present=hierarchy.line_present,
+                    stats=stats_arg)
 
-                # ----- Resteer / next-entry scheduling ---------------------
-                if prediction.resteer is None:
-                    iag_free = iag_t + 1
-                else:
-                    # Every resteering prediction carries exactly one cause,
-                    # so the per-cause counts partition decode+exec resteers.
-                    cause = prediction.resteer_cause or "unattributed"
-                    if prediction.resteer == "decode":
-                        detect = decode_done
-                        if counting:
-                            stats.decode_resteers += 1
-                    else:
-                        detect = decode_done + exec_resolve
-                        if counting:
-                            stats.exec_resteers += 1
-                    restart = detect + repair + btb_extra_latency
-                    if counting:
-                        stats.resteer_causes[cause] = (
-                            stats.resteer_causes.get(cause, 0) + 1)
-                        resteer_latency.record(restart - iag_t)
-                    if trace is not None:
-                        trace.emit("resteer", pc=record.branch_pc,
-                                   stage=prediction.resteer, cause=cause,
-                                   latency=restart - iag_t)
-                    if timeline is not None:
-                        timeline.instant("iag", f"resteer:{cause}", detect,
-                                         stage=prediction.resteer,
-                                         cause=cause, pc=record.branch_pc,
-                                         latency=restart - iag_t)
-                    # Wrong-path prefetches issued between iag_t and restart
-                    # pollute the L1-I with sequential lines.
-                    if prediction.wrong_path_pc is not None:
-                        wrong_line = prediction.wrong_path_pc & line_mask
-                        depth = min(pollution_max, ftq_size,
-                                    int(restart - iag_t))
-                        for step in range(1, depth + 1):
-                            _, _, _ = hierarchy.access(
-                                wrong_line + step * line_size, iag_t + step,
-                                wrong_path=True)
-                        if counting:
-                            stats.wrong_path_fills = (
-                                hierarchy.wrong_path_fills
-                                - wrong_path_fills_at_count_start)
-                    iag_free = restart
-                    ftq_inflight.clear()
-                    fetch_free = max(fetch_free, restart)
-
+            # ----- Fetch ------------------------------------------------
+            fetch_start = max(fetch_free, iag_t + iag_to_fetch)
+            fetch_stall = 0.0
+            if lines_ready > fetch_start:
+                fetch_stall = lines_ready - fetch_start
                 if counting:
-                    counted_instructions += record.n_instr
-                    counted_blocks += 1
-                prev_taken = record.taken
-                if intervals is not None and index + 1 == next_boundary:
-                    intervals.boundary(
-                        next_boundary, stats, counted_instructions,
-                        counted_blocks,
-                        retire_free - cycles_at_count_start if counting else 0.0)
-                    next_boundary += interval_size
+                    stats.fetch_stall_cycles += fetch_stall
+                fetch_start = lines_ready
+            fetch_done = fetch_start + n_lines
+            fetch_free = fetch_done
+            ftq_inflight.append(fetch_done)
 
-            if ff_stop < 0:
-                break
-            ff_segment = ff_stop
-            state = ProbeState(iag_free, fetch_free, decode_free,
-                               retire_free, ftq_inflight, prev_taken,
-                               counted_instructions, counted_blocks,
-                               next_boundary)
-            ff_segment = ff.on_probe(ff_segment, state)
-            iag_free = state.iag_free
-            fetch_free = state.fetch_free
-            decode_free = state.decode_free
-            retire_free = state.retire_free
-            ftq_inflight = state.ftq_inflight
-            counted_instructions = state.counted_instructions
-            counted_blocks = state.counted_blocks
-            next_boundary = state.next_boundary
-            records_seen = self._records_seen + ff_segment
-            if ff_segment >= n_total:
-                break
-        if ff is not None:
-            ff.finalize()
+            # ----- Decode ----------------------------------------------
+            input_ready = fetch_done + fetch_to_decode
+            decode_start = max(decode_free, input_ready)
+            decode_idle = decode_start - decode_free
+            if counting:
+                stats.decoder_idle_cycles += decode_idle
+            decode_done = decode_start + (
+                (record.n_instr + decode_width - 1) // decode_width)
+            decode_free = decode_done
+
+            # ----- Retire ----------------------------------------------
+            retire_start = max(retire_free, decode_done + 1)
+            retire_free = retire_start + record.n_instr / backend_width
+
+            # ----- Timeline: one span per stage, instants for BPU events
+            if timeline is not None:
+                name = f"0x{record.block_start:x}"
+                timeline.span("iag", name, iag_t, 1.0, index=index)
+                if not prediction.btb_hit:
+                    timeline.instant("iag", "btb_miss", iag_t,
+                                     pc=record.branch_pc)
+                if prediction.sbb_hit is not None:
+                    timeline.instant(
+                        "iag", f"sbb_hit:{prediction.sbb_hit}", iag_t,
+                        pc=record.branch_pc, used=prediction.used_sbb)
+                timeline.span("fetch", name, fetch_start,
+                              fetch_done - fetch_start, lines=n_lines,
+                              stall=fetch_stall)
+                timeline.span("decode", name, decode_start,
+                              decode_done - decode_start,
+                              instructions=record.n_instr, idle=decode_idle)
+                timeline.span("retire", name, retire_start,
+                              retire_free - retire_start)
+
+            # ----- Resteer / next-entry scheduling ---------------------
+            if prediction.resteer is None:
+                iag_free = iag_t + 1
+            else:
+                # Every resteering prediction carries exactly one cause,
+                # so the per-cause counts partition decode+exec resteers.
+                cause = prediction.resteer_cause or "unattributed"
+                if prediction.resteer == "decode":
+                    detect = decode_done
+                    if counting:
+                        stats.decode_resteers += 1
+                else:
+                    detect = decode_done + exec_resolve
+                    if counting:
+                        stats.exec_resteers += 1
+                restart = detect + repair + btb_extra_latency
+                if counting:
+                    stats.resteer_causes[cause] = (
+                        stats.resteer_causes.get(cause, 0) + 1)
+                    resteer_latency.record(restart - iag_t)
+                if trace is not None:
+                    trace.emit("resteer", pc=record.branch_pc,
+                               stage=prediction.resteer, cause=cause,
+                               latency=restart - iag_t)
+                if timeline is not None:
+                    timeline.instant("iag", f"resteer:{cause}", detect,
+                                     stage=prediction.resteer,
+                                     cause=cause, pc=record.branch_pc,
+                                     latency=restart - iag_t)
+                # Wrong-path prefetches issued between iag_t and restart
+                # pollute the L1-I with sequential lines.
+                if prediction.wrong_path_pc is not None:
+                    wrong_line = prediction.wrong_path_pc & line_mask
+                    depth = min(pollution_max, ftq_size,
+                                int(restart - iag_t))
+                    for step in range(1, depth + 1):
+                        _, _, _ = hierarchy.access(
+                            wrong_line + step * line_size, iag_t + step,
+                            wrong_path=True)
+                    if counting:
+                        stats.wrong_path_fills = (
+                            hierarchy.wrong_path_fills
+                            - wrong_path_fills_at_count_start)
+                iag_free = restart
+                ftq_inflight.clear()
+                fetch_free = max(fetch_free, restart)
+
+            if counting:
+                counted_instructions += record.n_instr
+                counted_blocks += 1
+            prev_taken = record.taken
+            if intervals is not None and index + 1 == next_boundary:
+                intervals.boundary(
+                    next_boundary, stats, counted_instructions,
+                    counted_blocks,
+                    retire_free - cycles_at_count_start if counting else 0.0)
+                next_boundary += interval_size
+
         if intervals is not None:
             intervals.finish(
                 records_seen - self._records_seen, stats,
@@ -520,200 +470,174 @@ class FrontEndSimulator:
         cycles_at_count_start = 0.0
         wrong_path_fills_at_count_start = 0
 
-        ff = plan_compiled(self, compiled, warmup)
+        for index in range(n_records):
+            if not counting and index >= warmup:
+                counting = True
+                cycles_at_count_start = retire_free
+                wrong_path_fills_at_count_start = hierarchy.wrong_path_fills
+            stats_arg = stats if counting else None
 
-        ff_segment = 0
-        while ff_segment < n_records:
-            ff_stop = ff.next_probe if ff is not None and ff.active \
-                and ff.next_probe < n_records else n_records
-            for index in range(ff_segment, ff_stop):
-                if not counting and index >= warmup:
-                    counting = True
-                    cycles_at_count_start = retire_free
-                    wrong_path_fills_at_count_start = hierarchy.wrong_path_fills
-                stats_arg = stats if counting else None
+            block_start = col_block_start[index]
+            n_instr = col_n_instr[index]
+            branch_pc = col_branch_pc[index]
+            kind = kind_by_code[col_kind[index]]
+            taken = col_taken[index] != 0
+            target = col_target[index]
+            fallthrough = col_fallthrough[index]
 
-                block_start = col_block_start[index]
-                n_instr = col_n_instr[index]
-                branch_pc = col_branch_pc[index]
-                kind = kind_by_code[col_kind[index]]
-                taken = col_taken[index] != 0
-                target = col_target[index]
-                fallthrough = col_fallthrough[index]
+            # ----- IAG: allocate the FTQ entry ------------------------
+            iag_t = iag_free
+            while ftq_inflight and ftq_inflight[0] <= iag_t:
+                ftq_inflight.popleft()
+            if len(ftq_inflight) >= ftq_size:
+                iag_t = ftq_inflight.popleft()
 
-                # ----- IAG: allocate the FTQ entry ------------------------
-                iag_t = iag_free
-                while ftq_inflight and ftq_inflight[0] <= iag_t:
-                    ftq_inflight.popleft()
-                if len(ftq_inflight) >= ftq_size:
-                    iag_t = ftq_inflight.popleft()
+            records_seen += 1
+            if trace is not None:
+                trace.record_index = index
 
-                records_seen += 1
-                if trace is not None:
-                    trace.record_index = index
+            branch_line_present = line_present(branch_pc)
+            prediction = bpu_process(block_start, branch_pc, kind, taken,
+                                     target, fallthrough,
+                                     branch_line_present, stats_arg)
 
-                branch_line_present = line_present(branch_pc)
-                prediction = bpu_process(block_start, branch_pc, kind, taken,
-                                         target, fallthrough,
-                                         branch_line_present, stats_arg)
-
-                # ----- Prefetch the entry's lines (precompiled spans) ------
-                first_line = col_first_line[index]
-                n_lines = col_n_lines[index]
-                lines_ready = iag_t
-                line = first_line
-                for _ in range(n_lines):
-                    hit, ready, level = hierarchy_access(line, iag_t)
-                    if ready > lines_ready:
-                        lines_ready = ready
-                    if counting:
-                        stats.l1i_accesses += 1
-                        if not hit:
-                            stats.l1i_misses += 1
-                            if level >= 3:
-                                stats.l2_misses += 1
-                            if level >= 4:
-                                stats.l3_misses += 1
-                    line += line_size
-
-                # ----- Skia: shadow-decode this entry's lines --------------
-                if skia is not None:
-                    if timeline is not None:
-                        # SBD runs when the entry's prefetch completes; give
-                        # its span emitter that timestamp.
-                        timeline.now = lines_ready
-                    exit_pc = branch_pc + col_branch_len[index] if taken else None
-                    skia.on_ftq_entry(
-                        entry_pc=block_start,
-                        entered_by_taken_branch=prev_taken,
-                        exit_pc=exit_pc,
-                        line_present=line_present,
-                        stats=stats_arg)
-
-                # ----- Fetch ------------------------------------------------
-                fetch_start = max(fetch_free, iag_t + iag_to_fetch)
-                fetch_stall = 0.0
-                if lines_ready > fetch_start:
-                    fetch_stall = lines_ready - fetch_start
-                    if counting:
-                        stats.fetch_stall_cycles += fetch_stall
-                    fetch_start = lines_ready
-                fetch_done = fetch_start + n_lines
-                fetch_free = fetch_done
-                ftq_inflight.append(fetch_done)
-
-                # ----- Decode ----------------------------------------------
-                input_ready = fetch_done + fetch_to_decode
-                decode_start = max(decode_free, input_ready)
-                decode_idle = decode_start - decode_free
+            # ----- Prefetch the entry's lines (precompiled spans) ------
+            first_line = col_first_line[index]
+            n_lines = col_n_lines[index]
+            lines_ready = iag_t
+            line = first_line
+            for _ in range(n_lines):
+                hit, ready, level = hierarchy_access(line, iag_t)
+                if ready > lines_ready:
+                    lines_ready = ready
                 if counting:
-                    stats.decoder_idle_cycles += decode_idle
-                decode_done = decode_start + (
-                    (n_instr + decode_width - 1) // decode_width)
-                decode_free = decode_done
+                    stats.l1i_accesses += 1
+                    if not hit:
+                        stats.l1i_misses += 1
+                        if level >= 3:
+                            stats.l2_misses += 1
+                        if level >= 4:
+                            stats.l3_misses += 1
+                line += line_size
 
-                # ----- Retire ----------------------------------------------
-                retire_start = max(retire_free, decode_done + 1)
-                retire_free = retire_start + n_instr / backend_width
-
-                # ----- Timeline: one span per stage, instants for BPU events
+            # ----- Skia: shadow-decode this entry's lines --------------
+            if skia is not None:
                 if timeline is not None:
-                    name = f"0x{block_start:x}"
-                    timeline.span("iag", name, iag_t, 1.0, index=index)
-                    if not prediction.btb_hit:
-                        timeline.instant("iag", "btb_miss", iag_t,
-                                         pc=branch_pc)
-                    if prediction.sbb_hit is not None:
-                        timeline.instant(
-                            "iag", f"sbb_hit:{prediction.sbb_hit}", iag_t,
-                            pc=branch_pc, used=prediction.used_sbb)
-                    timeline.span("fetch", name, fetch_start,
-                                  fetch_done - fetch_start, lines=n_lines,
-                                  stall=fetch_stall)
-                    timeline.span("decode", name, decode_start,
-                                  decode_done - decode_start,
-                                  instructions=n_instr, idle=decode_idle)
-                    timeline.span("retire", name, retire_start,
-                                  retire_free - retire_start)
+                    # SBD runs when the entry's prefetch completes; give
+                    # its span emitter that timestamp.
+                    timeline.now = lines_ready
+                exit_pc = branch_pc + col_branch_len[index] if taken else None
+                skia.on_ftq_entry(
+                    entry_pc=block_start,
+                    entered_by_taken_branch=prev_taken,
+                    exit_pc=exit_pc,
+                    line_present=line_present,
+                    stats=stats_arg)
 
-                # ----- Resteer / next-entry scheduling ---------------------
-                if prediction.resteer is None:
-                    iag_free = iag_t + 1
-                else:
-                    # Every resteering prediction carries exactly one cause,
-                    # so the per-cause counts partition decode+exec resteers.
-                    cause = prediction.resteer_cause or "unattributed"
-                    if prediction.resteer == "decode":
-                        detect = decode_done
-                        if counting:
-                            stats.decode_resteers += 1
-                    else:
-                        detect = decode_done + exec_resolve
-                        if counting:
-                            stats.exec_resteers += 1
-                    restart = detect + repair + btb_extra_latency
-                    if counting:
-                        stats.resteer_causes[cause] = (
-                            stats.resteer_causes.get(cause, 0) + 1)
-                        resteer_latency.record(restart - iag_t)
-                    if trace is not None:
-                        trace.emit("resteer", pc=branch_pc,
-                                   stage=prediction.resteer, cause=cause,
-                                   latency=restart - iag_t)
-                    if timeline is not None:
-                        timeline.instant("iag", f"resteer:{cause}", detect,
-                                         stage=prediction.resteer,
-                                         cause=cause, pc=branch_pc,
-                                         latency=restart - iag_t)
-                    # Wrong-path prefetches issued between iag_t and restart
-                    # pollute the L1-I with sequential lines.
-                    if prediction.wrong_path_pc is not None:
-                        wrong_line = prediction.wrong_path_pc & line_mask
-                        depth = min(pollution_max, ftq_size,
-                                    int(restart - iag_t))
-                        for step in range(1, depth + 1):
-                            _, _, _ = hierarchy_access(
-                                wrong_line + step * line_size, iag_t + step,
-                                wrong_path=True)
-                        if counting:
-                            stats.wrong_path_fills = (
-                                hierarchy.wrong_path_fills
-                                - wrong_path_fills_at_count_start)
-                    iag_free = restart
-                    ftq_inflight.clear()
-                    fetch_free = max(fetch_free, restart)
-
+            # ----- Fetch ------------------------------------------------
+            fetch_start = max(fetch_free, iag_t + iag_to_fetch)
+            fetch_stall = 0.0
+            if lines_ready > fetch_start:
+                fetch_stall = lines_ready - fetch_start
                 if counting:
-                    counted_instructions += n_instr
-                    counted_blocks += 1
-                prev_taken = taken
-                if intervals is not None and index + 1 == next_boundary:
-                    intervals.boundary(
-                        next_boundary, stats, counted_instructions,
-                        counted_blocks,
-                        retire_free - cycles_at_count_start if counting else 0.0)
-                    next_boundary += interval_size
+                    stats.fetch_stall_cycles += fetch_stall
+                fetch_start = lines_ready
+            fetch_done = fetch_start + n_lines
+            fetch_free = fetch_done
+            ftq_inflight.append(fetch_done)
 
-            ff_segment = ff_stop
-            if (ff is not None and ff.active
-                    and ff_segment == ff.next_probe
-                    and ff_segment < n_records):
-                state = ProbeState(iag_free, fetch_free, decode_free,
-                                   retire_free, ftq_inflight, prev_taken,
-                                   counted_instructions, counted_blocks,
-                                   next_boundary)
-                ff_segment = ff.on_probe(ff_segment, state)
-                iag_free = state.iag_free
-                fetch_free = state.fetch_free
-                decode_free = state.decode_free
-                retire_free = state.retire_free
-                ftq_inflight = state.ftq_inflight
-                counted_instructions = state.counted_instructions
-                counted_blocks = state.counted_blocks
-                next_boundary = state.next_boundary
-                records_seen = self._records_seen + ff_segment
-        if ff is not None:
-            ff.finalize()
+            # ----- Decode ----------------------------------------------
+            input_ready = fetch_done + fetch_to_decode
+            decode_start = max(decode_free, input_ready)
+            decode_idle = decode_start - decode_free
+            if counting:
+                stats.decoder_idle_cycles += decode_idle
+            decode_done = decode_start + (
+                (n_instr + decode_width - 1) // decode_width)
+            decode_free = decode_done
+
+            # ----- Retire ----------------------------------------------
+            retire_start = max(retire_free, decode_done + 1)
+            retire_free = retire_start + n_instr / backend_width
+
+            # ----- Timeline: one span per stage, instants for BPU events
+            if timeline is not None:
+                name = f"0x{block_start:x}"
+                timeline.span("iag", name, iag_t, 1.0, index=index)
+                if not prediction.btb_hit:
+                    timeline.instant("iag", "btb_miss", iag_t,
+                                     pc=branch_pc)
+                if prediction.sbb_hit is not None:
+                    timeline.instant(
+                        "iag", f"sbb_hit:{prediction.sbb_hit}", iag_t,
+                        pc=branch_pc, used=prediction.used_sbb)
+                timeline.span("fetch", name, fetch_start,
+                              fetch_done - fetch_start, lines=n_lines,
+                              stall=fetch_stall)
+                timeline.span("decode", name, decode_start,
+                              decode_done - decode_start,
+                              instructions=n_instr, idle=decode_idle)
+                timeline.span("retire", name, retire_start,
+                              retire_free - retire_start)
+
+            # ----- Resteer / next-entry scheduling ---------------------
+            if prediction.resteer is None:
+                iag_free = iag_t + 1
+            else:
+                # Every resteering prediction carries exactly one cause,
+                # so the per-cause counts partition decode+exec resteers.
+                cause = prediction.resteer_cause or "unattributed"
+                if prediction.resteer == "decode":
+                    detect = decode_done
+                    if counting:
+                        stats.decode_resteers += 1
+                else:
+                    detect = decode_done + exec_resolve
+                    if counting:
+                        stats.exec_resteers += 1
+                restart = detect + repair + btb_extra_latency
+                if counting:
+                    stats.resteer_causes[cause] = (
+                        stats.resteer_causes.get(cause, 0) + 1)
+                    resteer_latency.record(restart - iag_t)
+                if trace is not None:
+                    trace.emit("resteer", pc=branch_pc,
+                               stage=prediction.resteer, cause=cause,
+                               latency=restart - iag_t)
+                if timeline is not None:
+                    timeline.instant("iag", f"resteer:{cause}", detect,
+                                     stage=prediction.resteer,
+                                     cause=cause, pc=branch_pc,
+                                     latency=restart - iag_t)
+                # Wrong-path prefetches issued between iag_t and restart
+                # pollute the L1-I with sequential lines.
+                if prediction.wrong_path_pc is not None:
+                    wrong_line = prediction.wrong_path_pc & line_mask
+                    depth = min(pollution_max, ftq_size,
+                                int(restart - iag_t))
+                    for step in range(1, depth + 1):
+                        _, _, _ = hierarchy_access(
+                            wrong_line + step * line_size, iag_t + step,
+                            wrong_path=True)
+                    if counting:
+                        stats.wrong_path_fills = (
+                            hierarchy.wrong_path_fills
+                            - wrong_path_fills_at_count_start)
+                iag_free = restart
+                ftq_inflight.clear()
+                fetch_free = max(fetch_free, restart)
+
+            if counting:
+                counted_instructions += n_instr
+                counted_blocks += 1
+            prev_taken = taken
+            if intervals is not None and index + 1 == next_boundary:
+                intervals.boundary(
+                    next_boundary, stats, counted_instructions,
+                    counted_blocks,
+                    retire_free - cycles_at_count_start if counting else 0.0)
+                next_boundary += interval_size
+
         if intervals is not None:
             intervals.finish(
                 records_seen - self._records_seen, stats,

@@ -112,44 +112,6 @@ class SimStats:
         return {name: value - prev.get(name, 0) for name, value in row.items()}
 
     # ------------------------------------------------------------------
-    # Fast-forward bookkeeping (repro.frontend.fastforward)
-    # ------------------------------------------------------------------
-
-    def snapshot_state(self) -> tuple[dict, dict]:
-        """Structured copy of every field: ``(scalars, dict_fields)``.
-
-        The fast-forward layer snapshots this at each probe so a skip
-        can scale counters exactly (see :meth:`advance_periodic`).
-        """
-        scalars: dict[str, float] = {}
-        dict_fields: dict[str, dict] = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if isinstance(value, dict):
-                dict_fields[spec.name] = dict(value)
-            else:
-                scalars[spec.name] = value
-        return scalars, dict_fields
-
-    def advance_periodic(self, snapshot: tuple[dict, dict], n: int) -> None:
-        """Apply ``n`` repetitions of the advance since ``snapshot``.
-
-        Every counter ``c`` becomes ``c + n * (c - prior)`` -- exact
-        for ints and for the dyadic cycle counters, and equal to what
-        ``n`` more identical periods of stepping would accumulate.
-        Keys missing from the prior snapshot count as zero (the key
-        set only grows within a run).
-        """
-        prior_scalars, prior_dicts = snapshot
-        for name, before in prior_scalars.items():
-            now = getattr(self, name)
-            setattr(self, name, now + n * (now - before))
-        for name, before_dict in prior_dicts.items():
-            live = getattr(self, name)
-            for key, now in list(live.items()):
-                live[key] = now + n * (now - before_dict.get(key, 0))
-
-    # ------------------------------------------------------------------
     # Derived metrics
     # ------------------------------------------------------------------
 

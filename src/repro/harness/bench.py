@@ -103,70 +103,6 @@ def _decode_cache_rates(runner: ExperimentRunner,
     return rates
 
 
-#: The phase-5 fast-forward cell: a workload whose trace is exactly
-#: periodic (round-robin dispatch, no stochastic branches), replayed
-#: over far more records than the grid cells so skipped whole periods
-#: dominate the wall clock.
-FASTFORWARD_WORKLOAD = "steady-stream"
-
-
-def _bench_fastforward(scale: Scale, repeats: int = 3) -> dict:
-    """Time one long periodic cell with fast-forwarding on and off.
-
-    Walls are min-of-``repeats`` in one process (warm caches, so the
-    ratio is immune to cold-start noise); the trace/program build is
-    excluded from both.  Returns the ``fastforward`` payload section.
-    """
-    from repro.frontend.engine import FrontEndSimulator
-    from repro.workloads.cache import WorkloadCache
-    from repro.workloads.compiled import fastforward_enabled
-
-    records = max(scale.records * 8, 48_000)
-    warmup = max(min(scale.warmup, records // 12), 256)
-    out = {
-        "enabled": fastforward_enabled() and compiled_traces_enabled(),
-        "workload": FASTFORWARD_WORKLOAD,
-        "records": records,
-        "warmup": warmup,
-    }
-    if not out["enabled"]:
-        return out
-    cache = WorkloadCache()
-    program = cache.program(FASTFORWARD_WORKLOAD, seed=0)
-    compiled = cache.compiled(FASTFORWARD_WORKLOAD, records, seed=0)
-
-    def _wall() -> tuple[float, dict | None]:
-        simulator = FrontEndSimulator(program, FrontEndConfig(), seed=0)
-        start = time.perf_counter()
-        simulator.run_compiled(compiled, warmup=warmup)
-        return (time.perf_counter() - start,
-                getattr(simulator, "fastforward_summary", None))
-
-    previous = os.environ.get("REPRO_FASTFORWARD")
-    try:
-        os.environ["REPRO_FASTFORWARD"] = "1"
-        on_runs = [_wall() for _ in range(repeats)]
-        os.environ["REPRO_FASTFORWARD"] = "0"
-        off_runs = [_wall() for _ in range(repeats)]
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_FASTFORWARD", None)
-        else:
-            os.environ["REPRO_FASTFORWARD"] = previous
-    on_wall = min(wall for wall, _ in on_runs)
-    off_wall = min(wall for wall, _ in off_runs)
-    summary = on_runs[0][1] or {}
-    out.update({
-        "on_wall_s": round(on_wall, 4),
-        "off_wall_s": round(off_wall, 4),
-        "speedup": round(off_wall / on_wall, 3) if on_wall else 0.0,
-        "period": summary.get("period"),
-        "probes": summary.get("probes"),
-        "skipped_records": summary.get("skipped_records"),
-    })
-    return out
-
-
 def run_bench(scale: Scale, workloads: Sequence[str] | None = None,
               jobs: int = 1, out: str | os.PathLike | None = None,
               ) -> tuple[dict, Path]:
@@ -311,15 +247,6 @@ def run_bench(scale: Scale, workloads: Sequence[str] | None = None,
                                     if disabled_wall else 0.0),
             }
 
-            # Phase 5: cycle fast-forward — one long periodic cell
-            # (the steady-stream workload's trace repeats exactly, so
-            # the fast-forward layer skips almost all of it) replayed
-            # with REPRO_FASTFORWARD on and off, min of 3 each.  The
-            # trace is deliberately longer than the grid cells and the
-            # warm-up short: skippable whole periods, not detection
-            # cost, must dominate for the measured speedup to reflect
-            # the layer (CI gates this cell at >= 5x).
-            fastforward_out = _bench_fastforward(scale)
     finally:
         profiler_snapshot = (ledger_mod.profile_delta() if ledger is not None
                              else PROFILER.snapshot())
@@ -364,9 +291,6 @@ def run_bench(scale: Scale, workloads: Sequence[str] | None = None,
         # Additive since schema 1: interval telemetry on/off over the
         # Figure-14 grid (phase 4 above).
         "intervals": intervals_out,
-        # Additive since schema 1: cycle fast-forward on/off over one
-        # long periodic cell (phase 5 above).
-        "fastforward": fastforward_out,
         "caches": {
             **{key: round(value, 6)
                for key, value in cache_rates.items()},
@@ -508,13 +432,6 @@ def compare_bench(before: Mapping, after: Mapping,
         # Reported, never gating here: the hard <= 1.05x ceiling lives
         # in tests/obs/test_overhead.py.
         lines.append(f"interval telemetry overhead: {b_iv} -> {a_iv}")
-
-    b_ff = before.get("fastforward", {}).get("speedup")
-    a_ff = after.get("fastforward", {}).get("speedup")
-    if b_ff is not None or a_ff is not None:
-        # Reported, never gating here: the hard >= 5x floor lives in
-        # the bench-trajectory CI job.
-        lines.append(f"fast-forward speedup: {b_ff} -> {a_ff}")
 
     b_fallbacks = before.get("batch", {}).get("object_path_fallbacks")
     a_fallbacks = after.get("batch", {}).get("object_path_fallbacks")

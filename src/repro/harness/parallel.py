@@ -308,11 +308,9 @@ def _simulate_cell_body(workload: str, config: FrontEndConfig, seed: int,
                 stats = simulator.run(trace, warmup=scale.warmup)
         metrics = (simulator.metrics_snapshot()
                    if store is not None or ledger is not None else None)
-        fastforward = getattr(simulator, "fastforward_summary", None)
         if ledger is not None:
             ledger.cell(cell_id, "simulate", mode=mode,
-                        fallback_reason=fallback_reason,
-                        fastforward=fastforward)
+                        fallback_reason=fallback_reason)
             ledger.cell(cell_id, "invariants",
                         violations=[v.invariant for v in
                                     check_snapshot(metrics)])
@@ -330,8 +328,6 @@ def _simulate_cell_body(workload: str, config: FrontEndConfig, seed: int,
     outcome = {"result": "simulated", "mode": mode}
     if fallback_reason is not None:
         outcome["fallback_reason"] = fallback_reason
-    if fastforward is not None:
-        outcome["fastforward"] = fastforward
     return stats, outcome
 
 

@@ -333,16 +333,12 @@ class ExperimentRunner:
                 else:
                     stats = simulator.run(trace, warmup=self.scale.warmup)
                 metrics = simulator.metrics_snapshot()
-            fastforward = getattr(simulator, "fastforward_summary", None)
             outcome = {"result": "simulated", "mode": mode}
             if fallback_reason is not None:
                 outcome["fallback_reason"] = fallback_reason
-            if fastforward is not None:
-                outcome["fastforward"] = fastforward
             if ledger is not None:
                 ledger.cell(cell_id, "simulate", mode=mode,
-                            fallback_reason=fallback_reason,
-                            fastforward=fastforward)
+                            fallback_reason=fallback_reason)
                 violations = check_snapshot(metrics)
                 ledger.cell(cell_id, "invariants",
                             violations=[v.invariant for v in violations])
@@ -562,11 +558,8 @@ class ExperimentRunner:
                             self._intervals[
                                 cell.identity(self.scale)] = intervals
                         if ledger is not None:
-                            ledger.cell(
-                                cell_id, "simulate", mode=mode,
-                                fallback_reason=reason,
-                                fastforward=getattr(
-                                    simulator, "fastforward_summary", None))
+                            ledger.cell(cell_id, "simulate", mode=mode,
+                                        fallback_reason=reason)
                             ledger.cell(cell_id, "invariants",
                                         violations=[v.invariant for v in
                                                     check_snapshot(metrics)])
@@ -596,10 +589,6 @@ class ExperimentRunner:
                     outcome = {"result": "simulated", "mode": mode}
                     if reason is not None:
                         outcome["fallback_reason"] = reason
-                    fastforward = getattr(simulator, "fastforward_summary",
-                                          None)
-                    if fastforward is not None:
-                        outcome["fastforward"] = fastforward
                     ledger.cell(cell_id, "done", spanned=True,
                                 wall_s=group_wall, shared_wall=True,
                                 **outcome)

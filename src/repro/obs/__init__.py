@@ -60,11 +60,7 @@ from repro.obs.attribution import (
     diff_attributions,
     render_report,
 )
-from repro.obs.digests import (
-    StructureDigest,
-    probe_digest,
-    state_digest,
-)
+from repro.obs.digests import state_digest
 from repro.obs.divergence import (
     DivergenceReport,
     WindowDigest,
@@ -143,7 +139,6 @@ __all__ = [
     "Scope",
     "SectionProfiler",
     "SpanRecorder",
-    "StructureDigest",
     "TimelineRecorder",
     "Violation",
     "active_ledger",
@@ -160,7 +155,6 @@ __all__ = [
     "load_snapshot",
     "merge_run_trace",
     "merge_snapshots",
-    "probe_digest",
     "profile",
     "read_manifest",
     "read_spans",

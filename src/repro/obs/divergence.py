@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.obs.digests import state_digest  # noqa: F401  (re-export)
+from repro.obs.digests import state_digest
 from repro.obs.intervals import IntervalCollector
 from repro.obs.registry import diff_snapshots
 from repro.obs.trace import EventTrace

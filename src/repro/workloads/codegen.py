@@ -113,8 +113,6 @@ class ProgramGenerator:
         handler 0 is the hottest and the tail is cold.
         """
         profile = self.profile
-        if profile.dispatch_policy == "roundrobin":
-            return self._build_main_roundrobin(handler_labels)
         weights = [
             1.0 / (rank + 1) ** profile.handler_zipf_s
             for rank in range(len(handler_labels))
@@ -132,32 +130,6 @@ class ProgramGenerator:
         dispatch.fallthrough_label = loop_back.label
         function = Function(name="main", blocks=[dispatch, loop_back], hot=True)
         return function
-
-    def _build_main_roundrobin(self, handler_labels: list[int]) -> Function:
-        """Deterministic dispatch: direct-call every handler in order.
-
-        With the profile's trace-time randomness knobs zeroed (plain
-        conditionals, indirect jumps), the resulting trace repeats with
-        a period of exactly one dispatch cycle -- the shape the
-        fast-forward layer detects and skips.  Calls are wired here
-        (``_wire_calls`` only touches handlers and libraries).
-        """
-        blocks = []
-        for label in handler_labels:
-            block = BasicBlock(label=self._label())
-            block.instructions = self._block_body()
-            block.instructions.append(
-                self.encoder.call(self.rng, target_label=label))
-            blocks.append(block)
-        loop_back = BasicBlock(label=self._label())
-        loop_back.instructions = self._block_body()
-        loop_back.instructions.append(
-            self.encoder.uncond_jmp(self.rng, blocks[0].label, wide=True))
-        for index, block in enumerate(blocks):
-            block.fallthrough_label = (
-                blocks[index + 1].label if index + 1 < len(blocks)
-                else loop_back.label)
-        return Function(name="main", blocks=blocks + [loop_back], hot=True)
 
     def _build_function(self, name: str, n_blocks: int,
                         is_handler: bool) -> Function:

@@ -102,127 +102,10 @@ def batch_enabled() -> bool:
         "0", "false", "no", "off")
 
 
+# Gates nothing; read only by perfbench/tests/test_perfbench.py.
 def fastforward_enabled() -> bool:
-    """Whether steady-state fast-forwarding may be used (default on).
-
-    ``REPRO_FASTFORWARD=0`` forces every cell to step all records.  Like
-    :func:`batch_enabled`, the flag lives here because the harness and
-    CLI consult it next to the other trace-path gates.
-    """
     return os.environ.get("REPRO_FASTFORWARD", "").lower() not in (
         "0", "false", "no", "off")
-
-
-# ----------------------------------------------------------------------
-# Column-level period detection (the fast-forward layer's first gate)
-# ----------------------------------------------------------------------
-
-def _common_suffix_records(a, b, width: int = _ITEM) -> int:
-    """Length in records of the longest common suffix of two columns.
-
-    ``a`` and ``b`` are equal-length byte views of column slices.
-    Compared in 64 KiB blocks from the end (C-speed), with a per-byte
-    scan only inside the first differing block.
-    """
-    pos = len(a)
-    matched = 0
-    block = 1 << 16
-    while pos > 0:
-        start = max(0, pos - block)
-        if a[start:pos] == b[start:pos]:
-            matched += pos - start
-            pos = start
-            continue
-        for i in range(pos - 1, start - 1, -1):
-            if a[i] != b[i]:
-                matched += pos - 1 - i
-                break
-        break
-    return matched // width
-
-
-def _verify_period(columns, period: int, n_records: int) -> int | None:
-    """Preamble length if ``period`` holds for every column, else None.
-
-    A trace has period ``p`` with preamble ``m`` when record ``i``
-    equals record ``i + p`` for all ``i >= m``; per column that is a
-    common suffix of the column against itself shifted by ``p``.
-    """
-    preamble = 0
-    for column in columns:
-        view = memoryview(column).cast("B")
-        suffix = _common_suffix_records(
-            view[:(n_records - period) * _ITEM], view[period * _ITEM:])
-        preamble = max(preamble, (n_records - period) - suffix)
-        if n_records - preamble < 2 * period:
-            return None
-    return preamble
-
-
-def _detect_period(columns, probe_column,
-                   n_records: int) -> tuple[int, int] | None:
-    """``(period, preamble)`` of a columnar trace, or None.
-
-    Candidate periods come from re-occurrences of the trace's final
-    records (a multi-record needle, so values that recur many times
-    per period do not flood the search) in ``probe_column``, found
-    backwards with ``bytes.rfind`` so the smallest period is tried
-    first; each candidate is verified exactly against every column.  A
-    detected period must repeat at least twice past the preamble,
-    otherwise "periodicity" would be a single coincidence.
-    """
-    if n_records < 4:
-        return None
-    probe = bytes(memoryview(probe_column))
-    tail = min(16, n_records // 2)
-    needle = probe[(n_records - tail) * _ITEM:]
-    end = n_records * _ITEM - 1  # excludes only the trivial self-match
-    attempts = 0
-    scans = 0
-    while attempts < 8 and scans < 64:
-        scans += 1
-        j = probe.rfind(needle, 0, end)
-        if j < 0:
-            return None
-        end = j + len(needle) - 1
-        if j % _ITEM:
-            continue  # unaligned coincidence, keep scanning
-        period = (n_records - tail) - j // _ITEM
-        if period > n_records // 2:
-            return None
-        attempts += 1
-        preamble = _verify_period(columns, period, n_records)
-        if preamble is not None:
-            return period, preamble
-    return None
-
-
-def _period_of_columns(columns: dict[str, Sequence[int]],
-                       n_records: int) -> tuple[int, int] | None:
-    ordered = [columns[name] for name in CORE_COLUMNS]
-    return _detect_period(ordered, columns["branch_pc"], n_records)
-
-
-def period_of_records(records: Sequence[BlockRecord],
-                      ) -> tuple[int, int] | None:
-    """``(period, preamble)`` of an object trace, or None.
-
-    Lowers the records into throwaway columns first; one O(n) pass,
-    cheap relative to object-loop stepping of the same trace.
-    """
-    cols = {name: array("q") for name in CORE_COLUMNS}
-    code_of = CODE_BY_KIND
-    for record in records:
-        cols["block_start"].append(record.block_start)
-        cols["n_instr"].append(record.n_instr)
-        cols["branch_pc"].append(record.branch_pc)
-        cols["branch_len"].append(record.branch_len)
-        cols["kind"].append(code_of[record.kind])
-        cols["taken"].append(1 if record.taken else 0)
-        cols["target"].append(record.target)
-        cols["fallthrough"].append(record.fallthrough)
-        cols["next_pc"].append(record.next_pc)
-    return _period_of_columns(cols, len(records))
 
 
 def _shared_memory_module():
@@ -378,7 +261,6 @@ class CompiledTrace:
         self._owns_shm = False
         self._shared_ref: tuple[str, str] | None = None
         self._closed = False
-        self._period_cache: tuple[int, int] | None | bool = False
 
     # ------------------------------------------------------------------
     # Compilation
@@ -488,22 +370,6 @@ class CompiledTrace:
                 table = TraceDecodeTable(self, line_size)
             self._decode_tables[line_size] = table
         return table
-
-    def period(self) -> tuple[int, int] | None:
-        """``(period, preamble)`` of the column stream, or None.
-
-        Record ``i`` equals record ``i + period`` (across every core
-        column) for all ``i >= preamble``, and at least two full
-        periods follow the preamble.  Detected once per instance and
-        cached; the fast-forward layer and ``repro workloads period``
-        both read it from here.
-        """
-        if self._period_cache is not False:
-            return self._period_cache
-        with PROFILER.section("trace.period"):
-            self._period_cache = _period_of_columns(
-                self._columns, self.n_records)
-        return self._period_cache
 
     def records(self) -> list[BlockRecord]:
         """Re-materialise the object representation (tests, tooling)."""

@@ -67,12 +67,6 @@ class WorkloadProfile:
     layout_policy: str = "scatter"  # "scatter" | "shuffle"
 
     # Dispatch behaviour (cold-branch recurrence).
-    #: "zipf" -- the hot dispatch loop indirect-calls handlers with
-    #: Zipf-skewed trace-time randomness.  "roundrobin" -- main
-    #: direct-calls every handler in index order and loops; with the
-    #: other trace-time randomness knobs zeroed the generated trace is
-    #: exactly periodic (the fast-forward calibration workloads).
-    dispatch_policy: str = "zipf"
     handler_zipf_s: float = 1.0
     hot_handler_fraction: float = 0.15
     lib_call_skew: float = 2.0
@@ -251,35 +245,6 @@ _register(_profile(
     handler_zipf_s=0.80, p_cond_block=0.46, p_call_block=0.16,
     p_jmp_block=0.28, p_loop_backedge=0.24,
     layout_policy="shuffle", function_alignment=16,
-))
-
-# --- Steady-state calibration (fast-forward; PROFILES-only) ------------
-# Not part of Table 2 and deliberately absent from WORKLOAD_NAMES: these
-# are exactly periodic traces for the cycle fast-forward layer -- every
-# trace-time randomness source is zeroed, so the block stream repeats
-# with a period of one dispatch cycle.  ``steady-stream`` is branch-mix
-# minimal (jumps/calls/returns only); ``steady-loop`` adds deterministic
-# counted loops so TAGE and the loop predictor carry state too.
-_register(_profile(
-    "steady-stream", "Steady", l1i=20.0, gain=5.0, gain_class="mid",
-    n_handlers=120, n_lib_funcs=60, handler_blocks=(5, 9),
-    lib_blocks=(2, 4), dispatch_policy="roundrobin",
-    p_cond_block=0.0, p_indirect_jmp_block=0.0,
-    p_jmp_block=0.30, p_call_block=0.40, p_early_ret_block=0.08,
-    p_loop_backedge=0.0, p_pattern_cond=0.0,
-    cold_path_eligible_bias=False,
-))
-_register(_profile(
-    "steady-loop", "Steady", l1i=20.0, gain=5.0, gain_class="mid",
-    # Counted loops expand each dispatch cycle by the trip counts, so
-    # the handler pool and trips stay small to keep the period short.
-    n_handlers=40, n_lib_funcs=30, handler_blocks=(5, 9),
-    lib_blocks=(2, 4), dispatch_policy="roundrobin",
-    loop_trip_range=(3, 6),
-    p_cond_block=0.0, p_indirect_jmp_block=0.0,
-    p_jmp_block=0.24, p_call_block=0.36, p_early_ret_block=0.06,
-    p_loop_backedge=0.25, p_pattern_cond=0.0,
-    cold_path_eligible_bias=False,
 ))
 
 # --- BrowserBench -------------------------------------------------------

@@ -10,8 +10,8 @@ the slow object path.  These tests pin the new contract:
 * the harness routes comparator grids onto the kernel in both serial
   and parallel modes without changing a single counter;
 * cells that *do* degrade to the object path (trace/timeline/
-  attribution) are counted, logged once per reason, and flagged in
-  their own metric snapshot -- never silently.
+  attribution) are counted, logged once per reason, and named in the
+  run ledger -- never silently, and never in the simulated snapshot.
 """
 
 import dataclasses
@@ -34,6 +34,8 @@ from repro.frontend.engine import FrontEndSimulator
 from repro.harness.parallel import Cell, ParallelRunner
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scale import Scale
+from repro.harness.store import ResultStore
+from repro.obs import ledger as ledger_mod
 from repro.workloads import build_program, build_trace, compile_trace
 
 RECORDS = 1_000
@@ -155,8 +157,8 @@ class TestHarnessPaths:
 
 
 class TestFallbackObservability:
-    """Satellite: the object-path fallback is counted, logged once per
-    reason, and visible in the degraded cell's metric snapshot."""
+    """The object-path fallback is counted, logged once per reason and
+    recorded in the run ledger, but kept out of metric snapshots."""
 
     SCALE = Scale("fallbackobs", records=200, warmup=50)
 
@@ -176,15 +178,43 @@ class TestFallbackObservability:
         runner.run_cells(cells)
         assert fallback_counts() == {}
 
-    def test_attribution_cell_counts_and_gauges(self):
-        runner = ExperimentRunner(scale=self.SCALE, store=None,
-                                  record_attribution=True)
+    def test_attribution_cell_counts_and_gauges(self, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setenv("REPRO_LEDGER", "1")
+        monkeypatch.setenv("REPRO_NO_PROGRESS", "1")
         config = FrontEndConfig(skia=SkiaConfig())
-        runner.run("voter", config)
+        with ledger_mod.start_run("fallback", root=tmp_path) as ledger:
+            runner = ExperimentRunner(scale=self.SCALE, store=None,
+                                      record_attribution=True)
+            runner.run("voter", config)
+            run_dir = ledger.run_dir
         counts = fallback_counts()
         assert counts.get("attribution sink attached") == 1
+        # The reason is a host fact: it reaches the ledger, never the
+        # simulated metric snapshot.
         metrics = runner.metrics_for("voter", config)
-        assert metrics["batch.object_path_fallback"] == 1.0
+        assert "batch.object_path_fallback" not in metrics
+        summary = ledger_mod.summarize(
+            ledger_mod.read_manifest(run_dir / "manifest.jsonl"), run_dir)
+        [state] = summary.cells.values()
+        assert state.fields["mode"] == "object"
+        assert state.fields["fallback_reason"] == "attribution sink attached"
+
+    def test_attribution_backfill_keeps_stored_snapshot_clean(self,
+                                                              tmp_path):
+        # The store key ignores attribution, so an attribution run that
+        # backfills a plain entry rewrites its snapshot; the next plain
+        # run must not read a fallback gauge out of it.
+        store = ResultStore(tmp_path / "store")
+        config = FrontEndConfig(skia=SkiaConfig())
+        ExperimentRunner(scale=self.SCALE, store=store).run("voter", config)
+        ExperimentRunner(scale=self.SCALE, store=store,
+                         record_attribution=True).run("voter", config)
+        assert fallback_counts() == {"attribution sink attached": 1}
+        runner = ExperimentRunner(scale=self.SCALE, store=store)
+        runner.run("voter", config)
+        metrics = runner.metrics_for("voter", config)
+        assert "batch.object_path_fallback" not in metrics
 
     def test_supported_cell_snapshot_has_no_fallback_gauge(self):
         runner = ExperimentRunner(scale=self.SCALE, store=None)

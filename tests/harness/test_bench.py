@@ -85,23 +85,11 @@ class TestRun:
         assert fig3["compiled_trace_hits"] >= 1
         assert fig3["compiled_trace_hit_rate"] == 1.0
 
-    def test_fastforward_fields(self, bench_run):
-        payload, _ = bench_run
-        ff = payload["fastforward"]
-        assert ff["enabled"] is True
-        assert ff["workload"] == "steady-stream"
-        assert ff["records"] >= payload["records_per_cell"]
-        assert ff["period"] and ff["period"] > 0
-        assert ff["skipped_records"] > 0
-        assert ff["on_wall_s"] > 0 and ff["off_wall_s"] > 0
-        assert ff["speedup"] > 1.0
-
     def test_trace_compile_fires_once_per_workload(self, bench_run):
         payload, _ = bench_run
         sections = payload["profiler"]
-        # Single bench workload -> one grid compilation, plus the
-        # dedicated phase-5 fast-forward cell's.
-        assert sections["trace.compile"]["calls"] == 2
+        # Single bench workload -> exactly one compilation per run.
+        assert sections["trace.compile"]["calls"] == 1
 
     def test_file_written_atomically(self, bench_run):
         payload, path = bench_run
