@@ -398,13 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
                                    choices=sorted(WORKLOAD_NAMES))
     divergence_bisect.add_argument("--a", dest="engine_a",
                                    default="object",
-                                   choices=["object", "compiled",
-                                            "batched"],
+                                   choices=["object", "batched"],
                                    help="A-side engine (default: object)")
     divergence_bisect.add_argument("--b", dest="engine_b",
                                    default="batched",
-                                   choices=["object", "compiled",
-                                            "batched"],
+                                   choices=["object", "batched"],
                                    help="B-side engine (default: batched)")
     divergence_bisect.add_argument("--config", default="skia",
                                    choices=list(CONFIG_NAMES),
@@ -514,7 +512,7 @@ def _run_stats_run(args) -> int:
                            render_snapshot, save_snapshot)
     from repro.obs import ledger as ledger_mod
     from repro.obs import spans as spans_mod
-    from repro.workloads.cache import build_trace
+    from repro.workloads.cache import build_compiled_trace
 
     scale = SCALES[args.scale] if args.scale else current_scale()
     config = _stats_config(args.config)
@@ -531,7 +529,8 @@ def _run_stats_run(args) -> int:
         with PROFILER.section("harness.cell"):
             with PROFILER.section("harness.workload"):
                 program = build_program(args.workload)
-                records = build_trace(args.workload, scale.records)
+                compiled = build_compiled_trace(args.workload,
+                                                scale.records)
             if ledger is not None:
                 ledger.cell(cell_id, "prepare", source="compile")
             simulator = FrontEndSimulator(program, config)
@@ -544,7 +543,7 @@ def _run_stats_run(args) -> int:
                 timeline = TimelineRecorder()
                 simulator.attach_timeline(timeline)
             with PROFILER.section("harness.simulate"):
-                simulator.run(records, warmup=scale.warmup)
+                simulator.run_compiled(compiled, warmup=scale.warmup)
             if ledger is not None:
                 ledger.cell(cell_id, "simulate", mode="object",
                             fallback_reason=None)

@@ -1,7 +1,7 @@
 """Batched simulation kernel over compiled-trace decode tables.
 
-The per-record object loop (``FrontEndSimulator.run`` /
-``run_compiled``) spends most of its time in interpreter dispatch:
+The per-record oracle loop (``FrontEndSimulator.run_compiled``, which
+``run`` feeds) spends most of its time in interpreter dispatch:
 attribute loads on the simulator, method calls into the BPU tree, a
 ``SimStats`` attribute store per counter event.  This module replaces
 that loop on the hot path with a **lane kernel**: one fully inlined
@@ -28,16 +28,16 @@ Bit-exactness contract: a lane performs *exactly* the same structure
 operations, in the same order, with the same counter updates as
 ``run_compiled`` -- final ``SimStats`` and metric snapshots are
 bit-identical (enforced over the full Figure-14 grid by
-``tests/frontend/test_batch_equivalence.py``).  The object path remains
-the oracle; the kernel refuses lanes it cannot replicate exactly
-(attached event trace, timeline or attribution sink) via
-:func:`batch_supported`, and the harness falls back to the object path
-for those cells -- counting and logging each fallback via
-:func:`note_fallback` so the ~4x slowdown is never silent.  Plain
-Section 7.1 comparator cells (no instrumentation attached) run on the
-kernel: the comparator's ``lookup``/``record``/``on_btb_miss`` hooks
-are bound locals called at exactly the object path's call sites, so
-comparator sweeps keep the fast path.
+``tests/frontend/test_batch_equivalence.py``).  That loop remains the
+oracle; the kernel refuses lanes it cannot replicate exactly (attached
+event trace, timeline or attribution sink) via :func:`batch_supported`,
+and the harness falls back to the oracle for those cells -- counting
+and logging each fallback via :func:`note_fallback` so the ~4x slowdown
+is never silent.  Plain Section 7.1 comparator cells (no
+instrumentation attached) run on the kernel: the comparator's
+``lookup``/``record``/``on_btb_miss`` hooks are bound locals called at
+exactly the oracle's call sites, so comparator sweeps keep the fast
+path.
 
 Enabled by default; ``REPRO_BATCH=0`` disables it everywhere (see
 :func:`repro.workloads.compiled.batch_enabled`).
@@ -308,7 +308,7 @@ class _Lane:
 
     # The kernel: one fully inlined replay of records [start, stop).
     # Every structure operation and counter update below replicates the
-    # object path (engine.run_compiled + bpu.process_fields +
+    # oracle (engine.run_compiled + bpu.process +
     # skia.on_ftq_entry) operation-for-operation; only the dispatch
     # around them is flattened.
     def _advance(self, start: int, stop: int) -> None:
@@ -473,7 +473,7 @@ class _Lane:
             if len(ftq_inflight) >= ftq_size:
                 iag_t = ftq_popleft()
 
-            # ----- BPU (bpu.process_fields, inlined) ------------------
+            # ----- BPU (bpu.process, inlined) -------------------------
             branch_line_present = branch_line in l1_sets[bl_set]
 
             c_btb_lookups += 1

@@ -29,7 +29,6 @@ from repro.frontend.predictor import ITTageLite, LoopPredictor, TageLite
 from repro.frontend.ras import ReturnAddressStack
 from repro.frontend.stats import SimStats
 from repro.isa.branch import BranchKind
-from repro.workloads.trace import BlockRecord
 
 
 #: The resteer-cause vocabulary.  Causes partition resteers: every
@@ -87,29 +86,16 @@ class BranchPredictionUnit:
 
     # ------------------------------------------------------------------
 
-    def process(self, record: BlockRecord, branch_line_in_l1i: bool,
+    def process(self, block_start: int, pc: int, kind: BranchKind,
+                taken: bool, target: int, fallthrough: int,
+                branch_line_in_l1i: bool,
                 stats: SimStats | None) -> Prediction:
-        """Predict + train for one executed branch.
+        """Predict + train for one executed branch, given its record's
+        fields (``pc`` is the branch PC).
 
         ``branch_line_in_l1i`` is the L1-I residency of the branch's own
         line at lookup time (before this block's prefetch), feeding the
         paper's Figure 1/15 metric.
-        """
-        return self.process_fields(
-            record.block_start, record.branch_pc, record.kind,
-            record.taken, record.target, record.fallthrough,
-            branch_line_in_l1i, stats)
-
-    def process_fields(self, block_start: int, pc: int, kind: BranchKind,
-                       taken: bool, target: int, fallthrough: int,
-                       branch_line_in_l1i: bool,
-                       stats: SimStats | None) -> Prediction:
-        """:meth:`process` over unpacked record fields.
-
-        The compiled-trace hot loop (``FrontEndSimulator.run_compiled``)
-        reads flat columns and calls this directly, skipping
-        ``BlockRecord`` construction; both entry points execute the same
-        code, so object and compiled replays stay bit-identical.
         """
         entry = self.btb.lookup(pc)
         btb_hit = entry is not None

@@ -25,6 +25,7 @@ with the BTB, and the SBD runs when an FTQ entry's prefetch completes.
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterable
 
 from repro.core.skia import Skia
 from repro.frontend.bpu import BranchPredictionUnit
@@ -38,6 +39,7 @@ from repro.obs import (
     TimelineRecorder,
     snapshot_from_stats,
 )
+from repro.workloads.compiled import KIND_BY_CODE, CompiledTrace
 from repro.workloads.program import Program
 from repro.workloads.trace import BlockRecord
 
@@ -162,251 +164,26 @@ class FrontEndSimulator:
 
     # ------------------------------------------------------------------
 
-    def run(self, records: list[BlockRecord] | None = None,
-            warmup: int = 0,
-            record_iter=None) -> SimStats:
-        """Replay ``records`` (or ``record_iter``); the first ``warmup``
-        records train structures without being counted."""
-        if records is None and record_iter is None:
-            raise ValueError("provide records or record_iter")
-        stream = records if records is not None else record_iter
-        if self.attribution is not None:
-            # The aggregator applies the same warm-up gate as SimStats.
-            self.attribution.warmup = warmup
-
-        config = self.config
-        hierarchy = self.hierarchy
-        bpu = self.bpu
-        skia = self.skia
-        stats = self.stats
-        line_size = config.line_size
-        line_mask = ~(line_size - 1)
-
-        ftq_size = config.ftq_size
-        decode_width = config.decode_width
-        iag_to_fetch = config.iag_to_fetch_delay
-        fetch_to_decode = config.fetch_to_decode_delay
-        repair = config.decode_repair_cycles
-        btb_extra_latency = config.btb_access_latency() - 1
-        exec_resolve = config.exec_resolve_delay
-        backend_width = config.backend_effective_width
-        pollution_max = config.pollution_max_lines
-
-        trace = self.trace
-        timeline = self.timeline
-        resteer_latency = self._resteer_latency
-        records_seen = self._records_seen
-
-        intervals = self.intervals
-        interval_size = 0
-        next_boundary = 0
-        if intervals is not None:
-            intervals.warmup = warmup
-            interval_size = intervals.interval_size
-            next_boundary = interval_size
-
-        iag_free = 0.0
-        fetch_free = 0.0
-        decode_free = 0.0
-        retire_free = 0.0
-        ftq_inflight: deque[float] = deque()  # fetch_done per in-flight entry
-
-        prev_taken = True  # the first block is "entered" at the entry point
-        counting = False
-        counted_instructions = 0
-        counted_blocks = 0
-        cycles_at_count_start = 0.0
-        wrong_path_fills_at_count_start = 0
-
-        for index, record in enumerate(stream):
-            if not counting and index >= warmup:
-                counting = True
-                cycles_at_count_start = retire_free
-                wrong_path_fills_at_count_start = hierarchy.wrong_path_fills
-            stats_arg = stats if counting else None
-
-            # ----- IAG: allocate the FTQ entry ------------------------
-            iag_t = iag_free
-            while ftq_inflight and ftq_inflight[0] <= iag_t:
-                ftq_inflight.popleft()
-            if len(ftq_inflight) >= ftq_size:
-                iag_t = ftq_inflight.popleft()
-
-            records_seen += 1
-            if trace is not None:
-                trace.record_index = index
-
-            branch_line_present = hierarchy.line_present(record.branch_pc)
-            prediction = bpu.process(record, branch_line_present, stats_arg)
-
-            # ----- Prefetch the entry's lines -------------------------
-            block_end = record.branch_pc + record.branch_len
-            first_line = record.block_start & line_mask
-            last_line = (block_end - 1) & line_mask
-            n_lines = (last_line - first_line) // line_size + 1
-            lines_ready = iag_t
-            line = first_line
-            while line <= last_line:
-                hit, ready, level = hierarchy.access(line, iag_t)
-                if ready > lines_ready:
-                    lines_ready = ready
-                if counting:
-                    stats.l1i_accesses += 1
-                    if not hit:
-                        stats.l1i_misses += 1
-                        if level >= 3:
-                            stats.l2_misses += 1
-                        if level >= 4:
-                            stats.l3_misses += 1
-                line += line_size
-
-            # ----- Skia: shadow-decode this entry's lines --------------
-            if skia is not None:
-                if timeline is not None:
-                    # SBD runs when the entry's prefetch completes; give
-                    # its span emitter that timestamp.
-                    timeline.now = lines_ready
-                exit_pc = block_end if record.taken else None
-                skia.on_ftq_entry(
-                    entry_pc=record.block_start,
-                    entered_by_taken_branch=prev_taken,
-                    exit_pc=exit_pc,
-                    line_present=hierarchy.line_present,
-                    stats=stats_arg)
-
-            # ----- Fetch ------------------------------------------------
-            fetch_start = max(fetch_free, iag_t + iag_to_fetch)
-            fetch_stall = 0.0
-            if lines_ready > fetch_start:
-                fetch_stall = lines_ready - fetch_start
-                if counting:
-                    stats.fetch_stall_cycles += fetch_stall
-                fetch_start = lines_ready
-            fetch_done = fetch_start + n_lines
-            fetch_free = fetch_done
-            ftq_inflight.append(fetch_done)
-
-            # ----- Decode ----------------------------------------------
-            input_ready = fetch_done + fetch_to_decode
-            decode_start = max(decode_free, input_ready)
-            decode_idle = decode_start - decode_free
-            if counting:
-                stats.decoder_idle_cycles += decode_idle
-            decode_done = decode_start + (
-                (record.n_instr + decode_width - 1) // decode_width)
-            decode_free = decode_done
-
-            # ----- Retire ----------------------------------------------
-            retire_start = max(retire_free, decode_done + 1)
-            retire_free = retire_start + record.n_instr / backend_width
-
-            # ----- Timeline: one span per stage, instants for BPU events
-            if timeline is not None:
-                name = f"0x{record.block_start:x}"
-                timeline.span("iag", name, iag_t, 1.0, index=index)
-                if not prediction.btb_hit:
-                    timeline.instant("iag", "btb_miss", iag_t,
-                                     pc=record.branch_pc)
-                if prediction.sbb_hit is not None:
-                    timeline.instant(
-                        "iag", f"sbb_hit:{prediction.sbb_hit}", iag_t,
-                        pc=record.branch_pc, used=prediction.used_sbb)
-                timeline.span("fetch", name, fetch_start,
-                              fetch_done - fetch_start, lines=n_lines,
-                              stall=fetch_stall)
-                timeline.span("decode", name, decode_start,
-                              decode_done - decode_start,
-                              instructions=record.n_instr, idle=decode_idle)
-                timeline.span("retire", name, retire_start,
-                              retire_free - retire_start)
-
-            # ----- Resteer / next-entry scheduling ---------------------
-            if prediction.resteer is None:
-                iag_free = iag_t + 1
-            else:
-                # Every resteering prediction carries exactly one cause,
-                # so the per-cause counts partition decode+exec resteers.
-                cause = prediction.resteer_cause or "unattributed"
-                if prediction.resteer == "decode":
-                    detect = decode_done
-                    if counting:
-                        stats.decode_resteers += 1
-                else:
-                    detect = decode_done + exec_resolve
-                    if counting:
-                        stats.exec_resteers += 1
-                restart = detect + repair + btb_extra_latency
-                if counting:
-                    stats.resteer_causes[cause] = (
-                        stats.resteer_causes.get(cause, 0) + 1)
-                    resteer_latency.record(restart - iag_t)
-                if trace is not None:
-                    trace.emit("resteer", pc=record.branch_pc,
-                               stage=prediction.resteer, cause=cause,
-                               latency=restart - iag_t)
-                if timeline is not None:
-                    timeline.instant("iag", f"resteer:{cause}", detect,
-                                     stage=prediction.resteer,
-                                     cause=cause, pc=record.branch_pc,
-                                     latency=restart - iag_t)
-                # Wrong-path prefetches issued between iag_t and restart
-                # pollute the L1-I with sequential lines.
-                if prediction.wrong_path_pc is not None:
-                    wrong_line = prediction.wrong_path_pc & line_mask
-                    depth = min(pollution_max, ftq_size,
-                                int(restart - iag_t))
-                    for step in range(1, depth + 1):
-                        _, _, _ = hierarchy.access(
-                            wrong_line + step * line_size, iag_t + step,
-                            wrong_path=True)
-                    if counting:
-                        stats.wrong_path_fills = (
-                            hierarchy.wrong_path_fills
-                            - wrong_path_fills_at_count_start)
-                iag_free = restart
-                ftq_inflight.clear()
-                fetch_free = max(fetch_free, restart)
-
-            if counting:
-                counted_instructions += record.n_instr
-                counted_blocks += 1
-            prev_taken = record.taken
-            if intervals is not None and index + 1 == next_boundary:
-                intervals.boundary(
-                    next_boundary, stats, counted_instructions,
-                    counted_blocks,
-                    retire_free - cycles_at_count_start if counting else 0.0)
-                next_boundary += interval_size
-
-        if intervals is not None:
-            intervals.finish(
-                records_seen - self._records_seen, stats,
-                counted_instructions, counted_blocks,
-                retire_free - cycles_at_count_start if counting else 0.0)
-        self._records_seen = records_seen
-        stats.instructions = counted_instructions
-        stats.blocks = counted_blocks
-        stats.cycles = max(retire_free - cycles_at_count_start, 1e-9)
-        return stats
+    def run(self, records: Iterable[BlockRecord], warmup: int = 0
+            ) -> SimStats:
+        """Replay ``records`` (any iterable); the first ``warmup`` records
+        train structures without being counted.  Lowers them to columns
+        and runs :meth:`run_compiled`, the one replay loop."""
+        return self.run_compiled(
+            CompiledTrace.from_records(records, line_sizes=()), warmup=warmup)
 
     # ------------------------------------------------------------------
 
     def run_compiled(self, compiled, warmup: int = 0) -> SimStats:
-        """Replay a :class:`~repro.workloads.compiled.CompiledTrace`.
+        """Replay a :class:`~repro.workloads.compiled.CompiledTrace`; the
+        first ``warmup`` records train structures without being counted.
 
-        The flat-array twin of :meth:`run`: iterates the compiled columns
-        directly with locals-bound indices, uses the precomputed
-        per-record line spans instead of re-deriving them, and calls the
-        BPU's field-based entry point so no ``BlockRecord`` is ever
-        constructed.  Every predictor update, cache access, event
-        emission, timeline span and stat increment happens in exactly the
-        order the object path performs them -- stats, metric snapshots,
-        event traces and attribution artifacts are bit-identical
-        (enforced over the full Fig-14 grid by
-        ``tests/frontend/test_compiled_equivalence.py``).
+        The per-record oracle loop: iterates the compiled columns with
+        locals-bound indices, uses the per-record line spans instead of
+        re-deriving them, and hands the BPU unpacked fields.  The batched
+        kernel (:mod:`repro.frontend.batch`) must match it bit for bit in
+        stats, metric snapshots, event traces and attribution artifacts.
         """
-        from repro.workloads.compiled import KIND_BY_CODE
-
         if self.attribution is not None:
             # The aggregator applies the same warm-up gate as SimStats.
             self.attribution.warmup = warmup
@@ -415,7 +192,7 @@ class FrontEndSimulator:
         hierarchy = self.hierarchy
         hierarchy_access = hierarchy.access
         line_present = hierarchy.line_present
-        bpu_process = self.bpu.process_fields
+        bpu_process = self.bpu.process
         skia = self.skia
         stats = self.stats
         line_size = config.line_size
@@ -650,7 +427,7 @@ class FrontEndSimulator:
         return stats
 
 
-def simulate(program: Program, records: list[BlockRecord],
+def simulate(program: Program, records: Iterable[BlockRecord],
              config: FrontEndConfig, warmup: int = 0,
              seed: int = 0) -> SimStats:
     """Convenience one-shot simulation."""

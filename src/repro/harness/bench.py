@@ -43,7 +43,7 @@ from repro.harness.scale import Scale
 from repro.harness.store import ResultStore
 from repro.obs.profiler import PROFILER
 from repro.workloads.cache import WorkloadCache
-from repro.workloads.compiled import batch_enabled, compiled_traces_enabled
+from repro.workloads.compiled import batch_enabled
 
 #: Bump when the payload shape changes; ``compare`` refuses to diff
 #: files with mismatched schema versions.
@@ -179,41 +179,38 @@ def run_bench(scale: Scale, workloads: Sequence[str] | None = None,
             # with the batched lane kernel on and off, over the traces
             # phase 1 already built (store disabled, fresh memo each
             # time), so the ratio isolates replay-loop cost from trace
-            # generation/compilation.  Skipped when compiled traces are
-            # off: both flag states would take the same object path.
-            batch_out = {"enabled": batch_enabled() and
-                         compiled_traces_enabled()}
-            if compiled_traces_enabled():
-                grid = figures["fig14_grid"]
-                grid_records = scale.records * len(grid)
+            # generation/compilation.
+            grid = figures["fig14_grid"]
+            grid_records = scale.records * len(grid)
 
-                def _grid_wall() -> float:
-                    runner = ExperimentRunner(scale=scale, cache=cold_cache,
-                                              store=None)
-                    start = time.perf_counter()
-                    runner.run_cells(grid, jobs=1)
-                    return time.perf_counter() - start
+            def _grid_wall() -> float:
+                runner = ExperimentRunner(scale=scale, cache=cold_cache,
+                                          store=None)
+                start = time.perf_counter()
+                runner.run_cells(grid, jobs=1)
+                return time.perf_counter() - start
 
-                previous = os.environ.get("REPRO_BATCH")
-                try:
-                    os.environ["REPRO_BATCH"] = "1"
-                    batched_wall = _grid_wall()
-                    os.environ["REPRO_BATCH"] = "0"
-                    unbatched_wall = _grid_wall()
-                finally:
-                    if previous is None:
-                        os.environ.pop("REPRO_BATCH", None)
-                    else:
-                        os.environ["REPRO_BATCH"] = previous
-                batch_out.update({
-                    "batched_wall_s": round(batched_wall, 4),
-                    "unbatched_wall_s": round(unbatched_wall, 4),
-                    "batched_records_per_sec": round(
-                        grid_records / batched_wall, 2),
-                    "unbatched_records_per_sec": round(
-                        grid_records / unbatched_wall, 2),
-                    "speedup": round(unbatched_wall / batched_wall, 3),
-                })
+            previous = os.environ.get("REPRO_BATCH")
+            try:
+                os.environ["REPRO_BATCH"] = "1"
+                batched_wall = _grid_wall()
+                os.environ["REPRO_BATCH"] = "0"
+                unbatched_wall = _grid_wall()
+            finally:
+                if previous is None:
+                    os.environ.pop("REPRO_BATCH", None)
+                else:
+                    os.environ["REPRO_BATCH"] = previous
+            batch_out = {
+                "enabled": batch_enabled(),
+                "batched_wall_s": round(batched_wall, 4),
+                "unbatched_wall_s": round(unbatched_wall, 4),
+                "batched_records_per_sec": round(
+                    grid_records / batched_wall, 2),
+                "unbatched_records_per_sec": round(
+                    grid_records / unbatched_wall, 2),
+                "speedup": round(unbatched_wall / batched_wall, 3),
+            }
 
             # Phase 4: interval-telemetry overhead — the Figure-14 grid
             # replayed with per-window telemetry on and off, over the
@@ -300,11 +297,10 @@ def run_bench(scale: Scale, workloads: Sequence[str] | None = None,
             "store_misses": warm_store.misses,
             # Additive since schema 1: cold-phase compiled-trace reuse.
             # One miss per distinct workload (the single compilation),
-            # everything else hits -- unless the layer is disabled.
+            # everything else hits.
             # Totals only; the meaningful hit *rates* are per figure
             # group (``figures.<name>.compiled_trace_hit_rate``), since
             # first-touch compilations all land in the first group.
-            "compiled_traces_enabled": compiled_traces_enabled(),
             "compiled_trace_hits": compiled_stats.hits,
             "compiled_trace_misses": compiled_stats.misses,
         },

@@ -239,7 +239,7 @@ def _simulate_cell_body(workload: str, config: FrontEndConfig, seed: int,
     from repro.frontend.engine import FrontEndSimulator
     from repro.obs.invariants import check_snapshot
     from repro.workloads.cache import GLOBAL_CACHE
-    from repro.workloads.compiled import batch_enabled, compiled_traces_enabled
+    from repro.workloads.compiled import batch_enabled
 
     with PROFILER.section("harness.cell"):
         store = ResultStore(store_root) if store_root else None
@@ -257,55 +257,44 @@ def _simulate_cell_body(workload: str, config: FrontEndConfig, seed: int,
                 return cached, {"result": "store_hit"}
         elif ledger is not None:
             ledger.cell(cell_id, "store_probe", hit=False, store=False)
-        use_compiled = compiled_traces_enabled()
         compiled = None
-        trace = None
-        attached = False
         with PROFILER.section("harness.workload"):
             program = GLOBAL_CACHE.program(workload, seed=seed,
                                            bolted=bolted)
-            if use_compiled and trace_ref is not None:
+            if trace_ref is not None:
                 try:
                     compiled = _attached_trace(trace_ref)
-                    attached = True
                 except (FileNotFoundError, OSError, ValueError):
                     # The parent's segment/spill vanished (e.g. evicted
                     # mid-batch); fall back to compiling locally.
                     compiled = None
-            if use_compiled and compiled is None:
+            attached = compiled is not None
+            if compiled is None:
                 compiled = GLOBAL_CACHE.compiled(
                     workload, scale.records, seed=seed, bolted=bolted)
-            if not use_compiled:
-                trace = GLOBAL_CACHE.trace(workload, scale.records,
-                                           seed=seed, bolted=bolted)
         if ledger is not None:
             ledger.cell(cell_id, "prepare",
-                        source=("attach" if attached
-                                else "compile" if use_compiled
-                                else "trace"))
+                        source="attach" if attached else "compile")
         mode = "object"
         fallback_reason = None
         with PROFILER.section("harness.simulate"):
             simulator = FrontEndSimulator(program, config, seed=seed)
             if record_attribution:
                 simulator.attach_attribution()
-            if compiled is not None:
-                # The batched kernel wins even with a single lane
-                # (inlined loop, fused rows, local counters); cells the
-                # kernel cannot replicate bit-exactly (trace, timeline
-                # or attribution attached) fall back to the object loop,
-                # with the degradation counted and logged.
-                if batch_enabled() and batch_supported(simulator):
-                    mode = "batched"
-                    stats = run_compiled_batched(simulator, compiled,
-                                                 warmup=scale.warmup)
-                else:
-                    if batch_enabled():
-                        fallback_reason = note_object_fallback(simulator)
-                    stats = simulator.run_compiled(compiled,
-                                                   warmup=scale.warmup)
+            # The batched kernel wins even with a single lane (inlined
+            # loop, fused rows, local counters); cells the kernel cannot
+            # replicate bit-exactly (trace, timeline or attribution
+            # attached) fall back to the object loop, with the
+            # degradation counted and logged.
+            if batch_enabled() and batch_supported(simulator):
+                mode = "batched"
+                stats = run_compiled_batched(simulator, compiled,
+                                             warmup=scale.warmup)
             else:
-                stats = simulator.run(trace, warmup=scale.warmup)
+                if batch_enabled():
+                    fallback_reason = note_object_fallback(simulator)
+                stats = simulator.run_compiled(compiled,
+                                               warmup=scale.warmup)
         metrics = (simulator.metrics_snapshot()
                    if store is not None or ledger is not None else None)
         if ledger is not None:
@@ -371,9 +360,8 @@ class ParallelRunner:
         LRU eviction rather than this batch.
         """
         from repro.workloads.cache import GLOBAL_CACHE
-        from repro.workloads.compiled import compiled_traces_enabled
 
-        if workers <= 1 or not compiled_traces_enabled():
+        if workers <= 1:
             return {}
         needed: dict[tuple, Cell] = {}
         for _, cell in ordered:

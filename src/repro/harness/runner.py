@@ -42,7 +42,7 @@ from repro.obs import spans as spans_mod
 from repro.obs.invariants import check_snapshot
 from repro.obs.profiler import PROFILER
 from repro.workloads.cache import GLOBAL_CACHE, WorkloadCache
-from repro.workloads.compiled import batch_enabled, compiled_traces_enabled
+from repro.workloads.compiled import batch_enabled
 
 __all__ = ["ExperimentRunner", "config_key"]
 
@@ -297,41 +297,31 @@ class ExperimentRunner:
                                 {"result": "store_hit"})
             elif ledger is not None:
                 ledger.cell(cell_id, "store_probe", hit=False, store=False)
-            use_compiled = compiled_traces_enabled()
             with PROFILER.section("harness.workload"):
                 program = self.cache.program(workload, seed=seed,
                                              bolted=bolted)
-                if use_compiled:
-                    compiled = self.cache.compiled(
-                        workload, self.scale.records, seed=seed,
-                        bolted=bolted)
-                else:
-                    trace = self.cache.trace(workload, self.scale.records,
-                                             seed=seed, bolted=bolted)
+                compiled = self.cache.compiled(
+                    workload, self.scale.records, seed=seed, bolted=bolted)
             if ledger is not None:
-                ledger.cell(cell_id, "prepare",
-                            source="compile" if use_compiled else "trace")
+                ledger.cell(cell_id, "prepare", source="compile")
             mode = "object"
             fallback_reason = None
             with PROFILER.section("harness.simulate"):
                 simulator = FrontEndSimulator(program, config, seed=seed)
                 if self.record_attribution:
                     simulator.attach_attribution()
-                if use_compiled:
-                    # Prefer the batched kernel even for one cell; the
-                    # object/compiled loops remain the fallback (and the
-                    # oracle) for cells with instrumentation attached.
-                    if batch_enabled() and batch_supported(simulator):
-                        mode = "batched"
-                        stats = run_compiled_batched(
-                            simulator, compiled, warmup=self.scale.warmup)
-                    else:
-                        if batch_enabled():
-                            fallback_reason = note_object_fallback(simulator)
-                        stats = simulator.run_compiled(
-                            compiled, warmup=self.scale.warmup)
+                # Prefer the batched kernel even for one cell; the object
+                # loop remains the fallback (and the oracle) for cells
+                # with instrumentation attached.
+                if batch_enabled() and batch_supported(simulator):
+                    mode = "batched"
+                    stats = run_compiled_batched(
+                        simulator, compiled, warmup=self.scale.warmup)
                 else:
-                    stats = simulator.run(trace, warmup=self.scale.warmup)
+                    if batch_enabled():
+                        fallback_reason = note_object_fallback(simulator)
+                    stats = simulator.run_compiled(
+                        compiled, warmup=self.scale.warmup)
                 metrics = simulator.metrics_snapshot()
             outcome = {"result": "simulated", "mode": mode}
             if fallback_reason is not None:
@@ -392,8 +382,7 @@ class ExperimentRunner:
                     if progress_enabled():
                         progress = ProgressReporter(len(unique),
                                                     ledger=ledger)
-                if (batch_enabled() and compiled_traces_enabled()
-                        and not self.record_attribution):
+                if batch_enabled() and not self.record_attribution:
                     self._run_missing_batched(missing, progress=progress)
                 else:
                     for cell in missing:

@@ -1,7 +1,7 @@
 """Cross-engine / cross-config divergence bisection.
 
-The stack has three execution paths sworn to bit-identity (object loop,
-compiled loop, batched lane kernel).  When they disagree -- or when two
+The stack has two execution paths sworn to bit-identity (the object
+oracle loop and the batched lane kernel).  When they disagree -- or when two
 configs are *expected* to disagree and you want to know where -- a
 whole-run stats mismatch carries zero localization.  The bisector here
 turns that into an exact coordinate:
@@ -36,7 +36,7 @@ from repro.obs.intervals import IntervalCollector
 from repro.obs.registry import diff_snapshots
 from repro.obs.trace import EventTrace
 
-ENGINES = ("object", "compiled", "batched")
+ENGINES = ("object", "batched")
 
 
 @dataclass
@@ -114,7 +114,7 @@ class DivergenceReport:
         return dataclasses.asdict(self)
 
 
-def _run_side(program, records, compiled, config, engine: str, warmup: int,
+def _run_side(program, compiled, config, engine: str, warmup: int,
               seed: int, window: int, with_probe: bool = True,
               with_trace: bool = False):
     """One full run of ``engine`` with a window collector attached."""
@@ -134,8 +134,6 @@ def _run_side(program, records, compiled, config, engine: str, warmup: int,
         # Sinks keep every emission; the ring only bounds memory.
         simulator.attach_trace(EventTrace(capacity=4096))
     if engine == "object":
-        simulator.run(records, warmup=warmup)
-    elif engine == "compiled":
         simulator.run_compiled(compiled, warmup=warmup)
     elif engine == "batched":
         run_compiled_batched(simulator, compiled, warmup=warmup)
@@ -173,14 +171,14 @@ def bisect_divergence(program, records: Sequence, config_a, config_b=None,
     agree window-for-window (rows *and* state hashes) the report's
     ``identical`` flag is set and every coordinate field is ``None``.
     """
+    from repro.workloads.compiled import CompiledTrace
+
     if window <= 0:
         raise ValueError("window must be positive")
     if config_b is None:
         config_b = config_a
     records = list(records)
-    if compiled is None and ("compiled" in (engine_a, engine_b)
-                             or "batched" in (engine_a, engine_b)):
-        from repro.workloads.compiled import CompiledTrace
+    if compiled is None:
         compiled = CompiledTrace.from_records(records)
 
     a_label = f"{engine_a}/{_config_label(config_a)}"
@@ -194,9 +192,9 @@ def bisect_divergence(program, records: Sequence, config_a, config_b=None,
     compare_state = config_a == config_b
 
     # Window pass: both sides fully, compared boundary by boundary.
-    _, coll_a = _run_side(program, records, compiled, config_a, engine_a,
+    _, coll_a = _run_side(program, compiled, config_a, engine_a,
                           warmup, seed, window, with_probe=compare_state)
-    _, coll_b = _run_side(program, records, compiled, config_b, engine_b,
+    _, coll_b = _run_side(program, compiled, config_b, engine_b,
                           warmup, seed, window, with_probe=compare_state)
 
     n_windows = min(coll_a.windows, coll_b.windows)
@@ -226,17 +224,11 @@ def bisect_divergence(program, records: Sequence, config_a, config_b=None,
     # side on its own engine, to pin the first divergent record.  In
     # engine-vs-engine mode the per-record state hashes localize even a
     # state-only divergence (counters agreeing, structures drifting).
-    prefix = records[:window_end]
-    if "compiled" in (engine_a, engine_b) or "batched" in (engine_a,
-                                                           engine_b):
-        from repro.workloads.compiled import CompiledTrace
-        fine_compiled = CompiledTrace.from_records(prefix)
-    else:
-        fine_compiled = None
-    sim_a, fine_a = _run_side(program, prefix, fine_compiled, config_a,
+    fine_compiled = CompiledTrace.from_records(records[:window_end])
+    sim_a, fine_a = _run_side(program, fine_compiled, config_a,
                               engine_a, warmup, seed, 1,
                               with_probe=compare_state)
-    sim_b, fine_b = _run_side(program, prefix, fine_compiled, config_b,
+    sim_b, fine_b = _run_side(program, fine_compiled, config_b,
                               engine_b, warmup, seed, 1,
                               with_probe=compare_state)
     record_index = None

@@ -4,10 +4,10 @@ Whole-run counters cannot show phase behaviour -- BTB/SBB warm-up and
 fill, retired-bit priority flips under phase shifts -- so the collector
 here cuts the cumulative counters into fixed windows of
 ``FrontEndConfig.interval_size`` retired records.  Window boundaries are
-defined on the *record index*, which all three execution paths (object
-loop, compiled loop, batched lane kernel) step identically, so the
-resulting :class:`IntervalSeries` is bit-identical across engines and
-across serial vs parallel harness runs.
+defined on the *record index*, which both execution paths (object
+oracle loop, batched lane kernel) step identically, so the resulting
+:class:`IntervalSeries` is bit-identical across engines and across
+serial vs parallel harness runs.
 
 Two invariants shape the implementation:
 

@@ -27,10 +27,6 @@ segment (or, where POSIX shared memory is unavailable, spills it to a
 ``.ctrace`` file under the cache directory) and workers attach read-only
 views instead of re-generating or unpickling anything.  A grid run
 generates each trace exactly once per host.
-
-Disable the whole layer with ``REPRO_NO_COMPILED_TRACES=1`` -- the
-harness then replays object traces exactly as before (the engine keeps
-both paths bit-identical; see ``tests/frontend/test_compiled_equivalence``).
 """
 
 from __future__ import annotations
@@ -83,20 +79,13 @@ _ITEM = array("q").itemsize
 assert _ITEM == 8, "compiled traces require 64-bit array('q') items"
 
 
-def compiled_traces_enabled() -> bool:
-    """False when ``REPRO_NO_COMPILED_TRACES`` is set truthy."""
-    return os.environ.get("REPRO_NO_COMPILED_TRACES", "").lower() not in (
-        "1", "true", "yes", "on")
-
-
 def batch_enabled() -> bool:
     """Whether the batched simulation kernel may be used (default on).
 
-    ``REPRO_BATCH=0`` forces every cell down the per-record object /
-    compiled loops.  The flag lives here rather than in ``frontend``
-    because the harness consults it next to
-    :func:`compiled_traces_enabled` and ``workloads`` must not import
-    ``frontend``.
+    ``REPRO_BATCH=0`` forces every cell down the per-record oracle loop.
+    The flag lives here rather than in ``frontend`` because
+    :meth:`CompiledTrace.from_records` consults it and ``workloads`` must
+    not import ``frontend``.
     """
     return os.environ.get("REPRO_BATCH", "").lower() not in (
         "0", "false", "no", "off")

@@ -17,6 +17,13 @@ def record(kind, pc=0x1000, taken=True, target=0x2000, branch_len=5):
                        next_pc=target if taken else pc + branch_len)
 
 
+def process(bpu, rec, branch_line_in_l1i, stats):
+    """Feed one record's fields to the BPU."""
+    return bpu.process(rec.block_start, rec.branch_pc, rec.kind, rec.taken,
+                       rec.target, rec.fallthrough, branch_line_in_l1i,
+                       stats)
+
+
 class TestBTBAliasing:
     def make_narrow_bpu(self):
         """A BPU whose BTB has 1-bit tags: aliasing is easy to force."""
@@ -31,10 +38,11 @@ class TestBTBAliasing:
     def test_false_hit_wrong_kind_counts(self):
         bpu = self.make_narrow_bpu()
         stats = SimStats()
-        bpu.process(record(BranchKind.DIRECT_UNCOND, pc=0x1000), True, stats)
+        process(bpu, record(BranchKind.DIRECT_UNCOND, pc=0x1000), True, stats)
         alias = self.find_alias(bpu, 0x1000)
-        prediction = bpu.process(
-            record(BranchKind.RETURN, pc=alias, branch_len=1), True, stats)
+        prediction = process(
+            bpu, record(BranchKind.RETURN, pc=alias, branch_len=1), True,
+            stats)
         assert stats.btb_false_hits == 1
         assert prediction.btb_hit
         assert prediction.resteer == "decode"
@@ -42,11 +50,11 @@ class TestBTBAliasing:
     def test_false_hit_same_kind_wrong_target(self):
         bpu = self.make_narrow_bpu()
         stats = SimStats()
-        bpu.process(record(BranchKind.DIRECT_UNCOND, pc=0x1000,
-                           target=0xAAAA), True, stats)
+        process(bpu, record(BranchKind.DIRECT_UNCOND, pc=0x1000,
+                            target=0xAAAA), True, stats)
         alias = self.find_alias(bpu, 0x1000)
-        prediction = bpu.process(
-            record(BranchKind.DIRECT_UNCOND, pc=alias, target=0xBBBB),
+        prediction = process(
+            bpu, record(BranchKind.DIRECT_UNCOND, pc=alias, target=0xBBBB),
             True, stats)
         # Same kind, different target: the decoder catches the wrong
         # target (not counted as a kind-mismatch false hit).
@@ -55,10 +63,10 @@ class TestBTBAliasing:
     def test_false_hit_on_not_taken_cond_costs_nothing(self):
         bpu = self.make_narrow_bpu()
         stats = SimStats()
-        bpu.process(record(BranchKind.DIRECT_UNCOND, pc=0x1000), True, stats)
+        process(bpu, record(BranchKind.DIRECT_UNCOND, pc=0x1000), True, stats)
         alias = self.find_alias(bpu, 0x1000)
-        prediction = bpu.process(
-            record(BranchKind.DIRECT_COND, pc=alias, taken=False),
+        prediction = process(
+            bpu, record(BranchKind.DIRECT_COND, pc=alias, taken=False),
             True, stats)
         assert prediction.resteer is None
 
@@ -73,8 +81,8 @@ class TestSBBAliasInteractions:
         bpu, skia = self.make_skia_bpu()
         stats = SimStats()
         skia.sbb.insert_unconditional(0x1000, 0x2000)
-        prediction = bpu.process(
-            record(BranchKind.DIRECT_COND, pc=0x1000, taken=True),
+        prediction = process(
+            bpu, record(BranchKind.DIRECT_COND, pc=0x1000, taken=True),
             True, stats)
         assert prediction.sbb_hit == "u"
         assert prediction.resteer == "decode"
@@ -86,8 +94,8 @@ class TestSBBAliasInteractions:
         bpu, skia = self.make_skia_bpu()
         stats = SimStats()
         skia.sbb.insert_unconditional(0x1000, 0x2000)
-        bpu.process(record(BranchKind.INDIRECT_UNCOND, pc=0x1000,
-                           branch_len=2), True, stats)
+        process(bpu, record(BranchKind.INDIRECT_UNCOND, pc=0x1000,
+                            branch_len=2), True, stats)
         assert stats.indirect_predictions == 1
 
     def test_sbb_entry_becomes_shadowed_after_commit(self):
@@ -96,8 +104,8 @@ class TestSBBAliasInteractions:
         bpu, skia = self.make_skia_bpu()
         stats = SimStats()
         skia.sbb.insert_unconditional(0x1000, 0x2000)
-        first = bpu.process(record(BranchKind.DIRECT_UNCOND), True, stats)
-        second = bpu.process(record(BranchKind.DIRECT_UNCOND), True, stats)
+        first = process(bpu, record(BranchKind.DIRECT_UNCOND), True, stats)
+        second = process(bpu, record(BranchKind.DIRECT_UNCOND), True, stats)
         assert first.used_sbb and not second.used_sbb
         assert second.btb_hit
 
@@ -106,13 +114,13 @@ class TestSBBAliasInteractions:
         once (stack discipline survives bogus redirects)."""
         bpu, skia = self.make_skia_bpu()
         stats = SimStats()
-        bpu.process(record(BranchKind.CALL, pc=0x900, target=0x1000),
-                    True, stats)
+        process(bpu, record(BranchKind.CALL, pc=0x900, target=0x1000),
+                True, stats)
         assert len(bpu.ras) == 1
         skia.sbb.insert_unconditional(0x1000, 0xBAD)
         ret = record(BranchKind.RETURN, pc=0x1000, target=0x905,
                      branch_len=1)
-        bpu.process(ret, True, stats)
+        process(bpu, ret, True, stats)
         assert len(bpu.ras) == 0
 
 
@@ -121,14 +129,14 @@ class TestCommitBehaviour:
         bpu = BranchPredictionUnit(FrontEndConfig())
         stats = SimStats()
         rec = record(BranchKind.DIRECT_COND, taken=False)
-        bpu.process(rec, True, stats)
+        process(bpu, rec, True, stats)
         assert bpu.btb.contains(rec.branch_pc)
 
     def test_indirect_btb_entry_stores_last_target(self):
         bpu = BranchPredictionUnit(FrontEndConfig())
         stats = SimStats()
         rec = record(BranchKind.INDIRECT_UNCOND, branch_len=2)
-        bpu.process(rec, True, stats)
+        process(bpu, rec, True, stats)
         entry = bpu.btb.lookup(rec.branch_pc)
         assert entry.target == rec.target
 
@@ -136,5 +144,5 @@ class TestCommitBehaviour:
         bpu = BranchPredictionUnit(FrontEndConfig())
         stats = SimStats()
         rec = record(BranchKind.RETURN, branch_len=1)
-        bpu.process(rec, True, stats)
+        process(bpu, rec, True, stats)
         assert bpu.btb.lookup(rec.branch_pc).target is None

@@ -1,11 +1,15 @@
-"""Bit-identity of the compiled fast path against the object path.
+"""Bit-identity of the record adapter against the harness's compiled traces.
 
-The contract behind every other compiled-trace feature: for any cell of
-the Figure-14 grid, ``FrontEndSimulator.run_compiled`` must produce the
-same ``SimStats``, the same metric snapshot, the same event stream and a
-byte-for-byte identical attribution artifact as ``run`` over the object
-records -- and the harness's serial/parallel/zero-copy plumbing must
-preserve that.  CI runs this module as its own job.
+``FrontEndSimulator.run`` lowers its records with
+``CompiledTrace.from_records(records, line_sizes=())`` -- no decode
+table, line columns derived lazily -- and replays them on
+``run_compiled``, the one oracle loop.  The harness instead replays
+traces compiled once per workload, with precomputed line columns,
+shared across processes.  The contract: for any cell of the Figure-14
+grid both feeds produce the same ``SimStats``, the same metric snapshot,
+the same event stream and a byte-for-byte identical attribution
+artifact -- and the harness's serial and zero-copy parallel runs match
+the adapter cell for cell.
 """
 
 import dataclasses
@@ -18,12 +22,8 @@ from repro.frontend.engine import FrontEndSimulator
 from repro.harness.parallel import Cell, ParallelRunner
 from repro.harness.scale import Scale
 from repro.obs import EventTrace
-from repro.workloads import (
-    WORKLOAD_NAMES,
-    build_program,
-    build_trace,
-    compile_trace,
-)
+from repro.workloads import WORKLOAD_NAMES, build_program, build_trace
+from repro.workloads.cache import build_compiled_trace
 
 RECORDS = 1_000
 WARMUP = 150
@@ -38,15 +38,12 @@ CONFIGS = {
 }
 
 
-def _run(program, records_or_compiled, config, compiled: bool):
+def _observed(program, config, replay):
     simulator = FrontEndSimulator(program, config, seed=0)
     trace = EventTrace()
     simulator.attach_trace(trace)
     aggregator = simulator.attach_attribution()
-    if compiled:
-        stats = simulator.run_compiled(records_or_compiled, warmup=WARMUP)
-    else:
-        stats = simulator.run(records_or_compiled, warmup=WARMUP)
+    stats = replay(simulator)
     artifact = json.dumps(aggregator.to_jsonable(), sort_keys=True).encode()
     return (dataclasses.asdict(stats), simulator.metrics_snapshot(),
             trace.events(), artifact)
@@ -54,19 +51,19 @@ def _run(program, records_or_compiled, config, compiled: bool):
 
 @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
 def test_fig14_grid_bit_identity(workload):
-    """Every (workload, config) cell: object path == compiled path."""
+    """Every (workload, config) cell: ``run(records)`` == ``run_compiled``
+    over the harness's compiled trace."""
     program = build_program(workload, seed=0)
     records = build_trace(workload, RECORDS, seed=0)
-    compiled = compile_trace(records)
+    compiled = build_compiled_trace(workload, RECORDS, seed=0)
     for name, config in CONFIGS.items():
-        obj_stats, obj_metrics, obj_events, obj_artifact = _run(
-            program, records, config, compiled=False)
-        cmp_stats, cmp_metrics, cmp_events, cmp_artifact = _run(
-            program, compiled, config, compiled=True)
-        assert cmp_stats == obj_stats, (workload, name)
-        assert cmp_metrics == obj_metrics, (workload, name)
-        assert cmp_events == obj_events, (workload, name)
-        assert cmp_artifact == obj_artifact, (workload, name)
+        expect = _observed(program, config,
+                           lambda s: s.run(records, warmup=WARMUP))
+        got = _observed(program, config,
+                        lambda s: s.run_compiled(compiled, warmup=WARMUP))
+        for part, want, have in zip(
+                ("stats", "metrics", "events", "attribution"), expect, got):
+            assert have == want, (workload, name, part)
 
 
 class TestHarnessPaths:
@@ -77,24 +74,25 @@ class TestHarnessPaths:
              for workload in WORKLOAD_NAMES[:2]
              for config in CONFIGS.values()]
 
-    def _object_path_stats(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_COMPILED_TRACES", "1")
-        try:
-            runner = ParallelRunner(scale=self.SCALE, jobs=1, store=None)
-            return runner.run_batch(self.CELLS)
-        finally:
-            monkeypatch.delenv("REPRO_NO_COMPILED_TRACES")
+    def _object_path_stats(self):
+        reference = []
+        for cell in self.CELLS:
+            simulator = FrontEndSimulator(
+                build_program(cell.workload, seed=0), cell.config, seed=0)
+            reference.append(simulator.run(
+                build_trace(cell.workload, RECORDS, seed=0), warmup=WARMUP))
+        return reference
 
-    def test_serial_compiled_matches_object_path(self, monkeypatch):
-        reference = self._object_path_stats(monkeypatch)
+    def test_serial_compiled_matches_object_path(self):
+        reference = self._object_path_stats()
         runner = ParallelRunner(scale=self.SCALE, jobs=1, store=None)
         compiled = runner.run_batch(self.CELLS)
         for expect, got, cell in zip(reference, compiled, self.CELLS):
             assert dataclasses.asdict(got) == dataclasses.asdict(expect), \
                 cell
 
-    def test_parallel_zero_copy_matches_object_path(self, monkeypatch):
-        reference = self._object_path_stats(monkeypatch)
+    def test_parallel_zero_copy_matches_object_path(self):
+        reference = self._object_path_stats()
         runner = ParallelRunner(scale=self.SCALE, jobs=2, store=None)
         compiled = runner.run_batch(self.CELLS)
         for expect, got, cell in zip(reference, compiled, self.CELLS):

@@ -1,9 +1,14 @@
 """Engine integration tests on the micro workload."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.frontend.config import FrontEndConfig, SkiaConfig
 from repro.frontend.engine import FrontEndSimulator, simulate
+from repro.obs import EventTrace
+from repro.workloads import compile_trace
 
 
 @pytest.fixture(scope="module")
@@ -131,17 +136,26 @@ class TestConfigurationEffects:
 
 
 class TestRunArguments:
-    def test_requires_records(self, micro_program):
-        simulator = FrontEndSimulator(micro_program, FrontEndConfig())
-        with pytest.raises(ValueError):
-            simulator.run()
+    def test_records_and_iterator_match_compiled(self, micro_program,
+                                                 micro_trace):
+        """``run`` over a list or a one-shot iterator is ``run_compiled``
+        over the compiled trace: stats, snapshot, events, attribution."""
+        def observed(replay):
+            simulator = FrontEndSimulator(
+                micro_program, FrontEndConfig(skia=SkiaConfig()))
+            trace = EventTrace()
+            simulator.attach_trace(trace)
+            aggregator = simulator.attach_attribution()
+            stats = replay(simulator)
+            return (dataclasses.asdict(stats), simulator.metrics_snapshot(),
+                    trace.events(),
+                    json.dumps(aggregator.to_jsonable(), sort_keys=True))
 
-    def test_record_iter_equivalent(self, micro_program, micro_trace):
-        from_list = simulate(micro_program, micro_trace, FrontEndConfig(),
-                             warmup=500)
-        simulator = FrontEndSimulator(micro_program, FrontEndConfig())
-        from_iter = simulator.run(record_iter=iter(micro_trace), warmup=500)
-        assert from_list.cycles == from_iter.cycles
+        records = micro_trace[:3_000]
+        compiled = compile_trace(records)
+        expect = observed(lambda s: s.run_compiled(compiled, warmup=500))
+        assert observed(lambda s: s.run(records, warmup=500)) == expect
+        assert observed(lambda s: s.run(iter(records), warmup=500)) == expect
 
     def test_zero_warmup(self, micro_program, micro_trace):
         stats = simulate(micro_program, micro_trace[:1000], FrontEndConfig())

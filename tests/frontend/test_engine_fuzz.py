@@ -1,14 +1,14 @@
 """Oracle/kernel identity over randomly drawn cells (Hypothesis).
 
 The fixed-grid suites (``test_batch_equivalence.py``,
-``test_compiled_equivalence.py``, ``test_interval_equality.py``) pin the
-four Figure-14 configurations on stock geometry.  This suite draws the
-cell instead: workload, trace and predictor seed, trace length, warm-up
-(zero, mid-trace, or past the end), interval window, BTB and U/R-SBB
-geometry, the Skia mode, and the batched kernel's chunk size.  For
-every draw the object oracle (``run``), the per-record compiled loop
-(``run_compiled``) and the batched lane kernel must agree byte for byte
-on ``SimStats``, the metric snapshot and the interval series.
+``test_interval_equality.py``) pin the four Figure-14 configurations on
+stock geometry.  This suite draws the cell instead: workload, trace and
+predictor seed, trace length, warm-up (zero, mid-trace, or past the
+end), interval window, BTB and U/R-SBB geometry, the Skia mode, and the
+batched kernel's chunk size.  For every draw the object oracle (``run``
+over the records) and the batched lane kernel (over the cached compiled
+trace) must agree byte for byte on ``SimStats``, the metric snapshot
+and the interval series.
 
 Programs are built at seed 0 (about 2 s each, shared through the
 process-wide workload cache); the drawn seed varies the trace and the
@@ -102,10 +102,6 @@ def test_oracle_compiled_and_kernel_agree(cell):
 
     oracle = FrontEndSimulator(program, config, seed=seed)
     expect = _observed(oracle, oracle.run(records, warmup=warmup))
-
-    looped = FrontEndSimulator(program, config, seed=seed)
-    assert _observed(looped, looped.run_compiled(
-        compiled, warmup=warmup)) == expect
 
     kernel = FrontEndSimulator(program, config, seed=seed)
     batch = BatchedFrontEndSimulator(chunk_records=cell["chunk_records"])

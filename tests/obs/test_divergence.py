@@ -50,7 +50,7 @@ def _first_divergent_record(program, records, config_a, config_b,
 
 
 class TestIdenticalSides:
-    @pytest.mark.parametrize("engine_b", ["compiled", "batched"])
+    @pytest.mark.parametrize("engine_b", ["batched"])
     def test_engine_pairs_are_clean(self, micro_program, records,
                                     engine_b):
         report = bisect_divergence(

@@ -139,13 +139,6 @@ class TestZeroCopyDistribution:
                    for cell in GRID]
         assert runner._publish_traces(ordered, workers=1) == {}
 
-    def test_publish_skipped_when_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_COMPILED_TRACES", "1")
-        runner = ParallelRunner(scale=TINY, jobs=2, store=None)
-        ordered = [(cell.resolved(0).identity(TINY), cell.resolved(0))
-                   for cell in GRID]
-        assert runner._publish_traces(ordered, workers=2) == {}
-
     def test_publish_one_ref_per_workload(self):
         runner = ParallelRunner(scale=TINY, jobs=2, store=None)
         ordered = [(cell.resolved(0).identity(TINY), cell.resolved(0))

@@ -14,7 +14,6 @@ from repro.workloads.compiled import (
     KIND_BY_CODE,
     CompiledTrace,
     compile_trace,
-    compiled_traces_enabled,
     default_spill_dir,
     shared_memory_available,
 )
@@ -177,21 +176,6 @@ class TestSpill:
     def test_attach_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             CompiledTrace.attach(("carrier-pigeon", "x"))
-
-
-class TestEnvGate:
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_COMPILED_TRACES", raising=False)
-        assert compiled_traces_enabled()
-
-    @pytest.mark.parametrize("value", ["1", "true", "YES"])
-    def test_disabled_by_env(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_NO_COMPILED_TRACES", value)
-        assert not compiled_traces_enabled()
-
-    def test_falsey_values_keep_it_enabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_COMPILED_TRACES", "0")
-        assert compiled_traces_enabled()
 
 
 class TestCacheLifecycle:
