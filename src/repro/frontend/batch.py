@@ -11,11 +11,28 @@ replay loop per (workload, config, seed) cell that
   .TraceDecodeTable` (plain Python lists: kinds already objects, takens
   already bools, line arithmetic already done) instead of re-deriving
   fields per record per cell;
-* inlines the BTB probe/insert, the L1-I hit path, the BPU decision
-  tree, the Skia FTQ-entry gates and the SBB insert walk into one
-  function body with locals-bound structures;
+* reads each record's direction/indirect prediction outcome from a
+  **predictor column** replayed once per (trace, predictor knobs, seed)
+  by :func:`predictor_column` and shared by every lane over the trace,
+  instead of training TAGE-lite, the loop predictor and ITTAGE-lite
+  per lane;
+* inlines the BTB probe/insert, the comparator hooks, the RAS pop/push,
+  the BPU decision tree, the L1-I hit path, the Skia FTQ-entry gates,
+  the SBD memo probes and the SBB insert walk into one function body
+  with locals-bound structures;
 * accumulates every ``SimStats`` counter in function locals and flushes
   them once per chunk.
+
+The predictor column is sound because ``bpu.process`` trains exactly
+one predictor of a record's kind on every decision path, so a
+conditional's or indirect's outcome never depends on BTB, SBB or
+comparator state.  The RAS stays live per lane: it is cheap, its
+gauges are in the metric snapshot and :func:`repro.obs.state_digest`
+hashes it.  The contract this leaves: after a kernel run a lane's own
+``TageLite``/``LoopPredictor``/``ITTageLite`` objects are untrained
+(nothing reads them; only the RAS registers metrics), and
+:meth:`BatchedFrontEndSimulator.add_lane` refuses a simulator that has
+already replayed records, whose predictor state the column would drop.
 
 A :class:`BatchedFrontEndSimulator` steps N independent lanes in
 **chunked lockstep** over their (typically shared) decode tables: all
@@ -24,13 +41,17 @@ on.  Lanes over the same trace therefore touch the same table rows and
 the same process-wide shadow-decode tables (:mod:`repro.core
 .decode_tables`) while they are hot.
 
-Bit-exactness contract: a lane performs *exactly* the same structure
-operations, in the same order, with the same counter updates as
-``run_compiled`` -- final ``SimStats`` and metric snapshots are
-bit-identical (enforced over the full Figure-14 grid by
-``tests/frontend/test_batch_equivalence.py``).  That loop remains the
-oracle; the kernel refuses lanes it cannot replicate exactly (attached
-event trace, timeline or attribution sink) via :func:`batch_supported`,
+Bit-exactness contract: apart from the predictor training the column
+replaces, a lane performs *exactly* the same structure operations, in
+the same order, with the same counter updates as ``run_compiled`` --
+final ``SimStats`` and metric snapshots are bit-identical (enforced
+over the full Figure-14 grid by
+``tests/frontend/test_batch_equivalence.py`` and over drawn configs and
+shared lanes by ``tests/frontend/test_engine_fuzz.py``).  That loop,
+which still trains the predictors live, remains the oracle; the kernel
+refuses lanes it cannot replicate exactly (attached event trace,
+timeline or attribution sink, or already-trained predictors) via
+:func:`batch_supported`,
 and the harness falls back to the oracle for those cells -- counting
 and logging each fallback via :func:`note_fallback` so the ~4x slowdown
 is never silent.  Plain Section 7.1 comparator cells (no
@@ -49,6 +70,7 @@ import logging
 from collections import deque
 
 from repro.core.sbb import SBBEntry
+from repro.frontend.bpu import build_predictors, predictor_key
 from repro.frontend.btb import BTBEntry
 from repro.frontend.engine import FrontEndSimulator
 from repro.frontend.stats import SimStats
@@ -71,6 +93,7 @@ CHUNK_RECORDS = 4096
 # on every record.
 _TAKES_TARGET_BY_CODE = tuple(bool(kind.is_direct or kind.is_indirect)
                               for kind in KIND_BY_CODE)
+_IS_INDIRECT_BY_CODE = tuple(kind.is_indirect for kind in KIND_BY_CODE)
 _IS_CALL_BY_CODE = tuple(kind.is_call for kind in KIND_BY_CODE)
 _N_KINDS = len(KIND_BY_CODE)
 
@@ -84,28 +107,96 @@ class BatchUnsupported(ValueError):
     """The lane needs a feature only the object loop replicates."""
 
 
+def predictor_column(table, config, seed: int) -> list[bool | None]:
+    """Per-record "predictor was right" over one trace, from fresh
+    predictors.
+
+    Replays TAGE-lite (overridden by a confident :class:`LoopPredictor`
+    trip when ``use_loop_predictor``) over every conditional record and
+    ITTAGE-lite over every indirect one, in trace order, exactly as
+    ``bpu.process`` trains them: on every decision path the BPU trains
+    exactly one predictor of the record's kind, so the outcome never
+    depends on the BTB, SBB or comparator.  Returns a bool per
+    conditional/indirect record and ``None`` for every other kind
+    (returns are predicted by each lane's live RAS).
+    """
+    tage, loop, ittage = build_predictors(config, seed)
+    tage_update = tage.update
+    ittage_update = ittage.update
+    loop_on = loop is not None
+    loop_predict = loop.predict if loop_on else None
+    loop_update = loop.update if loop_on else None
+    is_indirect = _IS_INDIRECT_BY_CODE
+    k_cond = _K_COND
+    column: list[bool | None] = []
+    append = column.append
+    for kind, kcode, pc, taken, target in zip(
+            table.kind, table.kind_code, table.branch_pc, table.taken,
+            table.target):
+        if kind is k_cond:
+            predicted = tage_update(pc, taken)
+            if loop_on:
+                lp = loop_predict(pc)
+                loop_update(pc, taken)
+                if lp is not None:
+                    predicted = lp
+            append(predicted == taken)
+        elif is_indirect[kcode]:
+            append(ittage_update(pc, target) == target)
+        else:
+            append(None)
+    return column
+
+
+def _predictor_column(table, config, seed: int) -> list[bool | None]:
+    """:func:`predictor_column`, memoised on the table per predictor key.
+
+    Built lazily by the first lane that needs it (inside ``add_lane``)
+    and timed under the ``trace.predictor_columns`` profiler section, so
+    a bench payload shows one call per (trace, predictor config, seed).
+    In-process only: it derives purely from the table and costs about
+    one lane's predictor work, so it is rebuilt per process rather than
+    written to the result store.
+    """
+    key = ("predictor",) + predictor_key(config, seed)
+    column = table._lane_cols.get(key)
+    if column is None:
+        if PROFILER.enabled:
+            with PROFILER.section("trace.predictor_columns"):
+                column = predictor_column(table, config, seed)
+        else:
+            column = predictor_column(table, config, seed)
+        table._lane_cols[key] = column
+    return column
+
+
 def _lane_rows(table, simulator):
-    """Pre-fused per-record row tuples, cached on the table per geometry.
+    """Pre-fused per-record row tuples, cached on the table per geometry
+    and predictor key.
 
     The kernel loop unpacks ONE tuple per record instead of indexing
     ~20 parallel columns: zip-fusing the table columns with the
     geometry-dependent derived columns (BTB set/tag fold, L1 set number
     of the branch / first / tail lines, decode cycles, retire delta)
-    turns per-record address arithmetic into a single C-level
-    ``UNPACK_SEQUENCE``.  Rows depend only on the trace and the
-    structure geometry -- grid lanes over one trace share them -- and
-    are derived vectorised when numpy is present.
+    and the shared predictor column (:func:`predictor_column`) turns
+    per-record address arithmetic and direction/indirect prediction
+    into a single C-level ``UNPACK_SEQUENCE``.  Rows depend only on the
+    trace, the structure geometry and the predictor knobs and seed --
+    grid lanes over one trace share them -- and are derived vectorised
+    when numpy is present.
     """
     btb = simulator.bpu.btb
     config = simulator.config
+    seed = simulator.bpu.seed
     l1_n_sets = simulator.hierarchy.l1i.n_sets
     decode_width = config.decode_width
     backend_width = config.backend_effective_width
     key = (btb.infinite, btb.n_sets, btb.tag_bits, l1_n_sets,
-           decode_width, backend_width)
+           decode_width, backend_width) + predictor_key(config, seed)
     rows = table._lane_cols.get(key)
     if rows is not None:
         return rows
+    pred_ok = _predictor_column(table, config, seed)
     line_size = table.line_size
     n = table.n_records
     np = _compiled._np
@@ -151,7 +242,7 @@ def _lane_rows(table, simulator):
         dcyc = [(count + decode_width - 1) // decode_width
                 for count in table.n_instr]
         nbw = [count / backend_width for count in table.n_instr]
-    rows = list(zip(table.kind, table.kind_code, table.taken,
+    rows = list(zip(table.kind, table.kind_code, table.taken, pred_ok,
                     table.branch_pc, table.target, table.fallthrough,
                     table.n_instr, table.branch_line, bls, bidx, btag,
                     table.first_line, fls, table.n_lines,
@@ -169,7 +260,15 @@ def batch_unsupported_reason(simulator: FrontEndSimulator) -> str | None:
     the object path.  Section 7.1 comparator cells *are* supported: the
     comparator hooks are plain bound calls the kernel inlines at the
     object path's call sites.
+
+    So must a simulator that has already replayed records: a lane reads
+    its direction/indirect outcomes from a column replayed by fresh
+    predictors from record 0, which would silently drop that training.
     """
+    bpu = simulator.bpu
+    if (simulator._records_seen or bpu.tage.predictions
+            or bpu.ittage.predictions):
+        return "predictors already trained by an earlier replay"
     # The attribution sink rides on an event trace, so check it first:
     # its reason is the more specific one.
     if simulator.attribution is not None:
@@ -347,15 +446,8 @@ class _Lane:
         btb_full = btb._full
         btb_sets = btb._sets
         btb_assoc = btb.assoc
-        tage_update = bpu.tage.update
-        loop = bpu.loop
-        loop_on = loop is not None
-        loop_predict = loop.predict if loop_on else None
-        loop_update = loop.update if loop_on else None
-        ittage_update = bpu.ittage.update
         ras_pop = bpu.ras.pop
         ras_push = bpu.ras.push
-        train_side = bpu._train_side_predictors
         comp = bpu.comparator
         comp_on = comp is not None
         comp_lookup = comp.lookup if comp_on else None
@@ -462,7 +554,7 @@ class _Lane:
         cnt_branches = [0] * _N_KINDS
         cnt_btb_misses = [0] * _N_KINDS
 
-        for (kind, kcode, taken, branch_pc, target, fallthrough, n_instr,
+        for (kind, kcode, taken, ok, branch_pc, target, fallthrough, n_instr,
              branch_line, bl_set, bidx, btag, first_line, fl_set, n_lines,
              entry_offset, tail_aligned, exit_pc, tail_line, tl_set,
              decode_cycles, retire_delta) in rows:
@@ -497,6 +589,31 @@ class _Lane:
                 if centry is None and skia_on:
                     sbb_result = sbb_lookup(branch_pc)
 
+            # Predictor outcome.  On every decision path the oracle
+            # trains exactly one predictor of the record's kind (the
+            # _train_side_predictors calls included), so ``ok`` -- read
+            # from the shared column for conditionals and indirects,
+            # popped from this lane's live RAS for returns -- and its
+            # counters do not depend on the path taken below.
+            if kind is k_return:
+                predicted = ras_pop()
+                ok = predicted == target
+                if counting:
+                    s_ras_predictions += 1
+                    if predicted is None:
+                        s_ras_underflows += 1
+                    if not ok:
+                        s_ras_mispredicts += 1
+            elif counting and ok is not None:
+                if kind is k_cond:
+                    s_cond_predictions += 1
+                    if not ok:
+                        s_cond_mispredicts += 1
+                else:
+                    s_indirect_predictions += 1
+                    if not ok:
+                        s_indirect_mispredicts += 1
+
             if counting:
                 s_btb_lookups += 1
                 cnt_branches[kcode] += 1
@@ -528,24 +645,12 @@ class _Lane:
                 if dentry.kind is not kind:
                     if counting:
                         s_btb_false_hits += 1
-                    train_side(branch_pc, kind, taken, target,
-                               stats_obj if counting else None)
                     if taken:
                         resteer = "decode"
                         cause = "btb_alias"
                         wrong_pc = fallthrough
                 elif kind is k_cond:
-                    predicted = tage_update(branch_pc, taken)
-                    if loop_on:
-                        lp = loop_predict(branch_pc)
-                        loop_update(branch_pc, taken)
-                        if lp is not None:
-                            predicted = lp
-                    if counting:
-                        s_cond_predictions += 1
-                        if predicted != taken:
-                            s_cond_mispredicts += 1
-                    if predicted != taken:
+                    if not ok:
                         resteer = "exec"
                         cause = "cond_mispredict"
                         wrong_pc = target if not taken else fallthrough
@@ -554,30 +659,11 @@ class _Lane:
                         resteer = "decode"
                         cause = "btb_stale_target"
                         wrong_pc = fallthrough
-                elif kind is k_return:
-                    predicted = ras_pop()
-                    correct = predicted == target
-                    if counting:
-                        s_ras_predictions += 1
-                        if predicted is None:
-                            s_ras_underflows += 1
-                        if not correct:
-                            s_ras_mispredicts += 1
-                    if not correct:
-                        resteer = "exec"
-                        cause = "ras_mispredict"
-                        wrong_pc = fallthrough
-                else:
-                    predicted = ittage_update(branch_pc, target)
-                    correct = predicted == target
-                    if counting:
-                        s_indirect_predictions += 1
-                        if not correct:
-                            s_indirect_mispredicts += 1
-                    if not correct:
-                        resteer = "exec"
-                        cause = "indirect_mispredict"
-                        wrong_pc = fallthrough
+                elif not ok:
+                    resteer = "exec"
+                    cause = ("ras_mispredict" if kind is k_return
+                             else "indirect_mispredict")
+                    wrong_pc = fallthrough
             elif sbb_result is not None:
                 sbb_which, sentry = sbb_result
                 if sbb_which == "u":
@@ -589,8 +675,6 @@ class _Lane:
                     else:
                         if counting:
                             s_sbb_wrong_target += 1
-                        train_side(branch_pc, kind, taken, target,
-                                   stats_obj if counting else None)
                         resteer = "decode"
                         cause = "sbb_wrong_target"
                         wrong_pc = fallthrough
@@ -598,15 +682,7 @@ class _Lane:
                     if counting:
                         s_sbb_hits_r += 1
                     if kind is k_return:
-                        predicted = ras_pop()
-                        correct = predicted == target
-                        if counting:
-                            s_ras_predictions += 1
-                            if predicted is None:
-                                s_ras_underflows += 1
-                            if not correct:
-                                s_ras_mispredicts += 1
-                        if correct:
+                        if ok:
                             used_sbb = True
                         else:
                             resteer = "exec"
@@ -615,8 +691,6 @@ class _Lane:
                     else:
                         if counting:
                             s_sbb_wrong_target += 1
-                        train_side(branch_pc, kind, taken, target,
-                                   stats_obj if counting else None)
                         resteer = "decode"
                         cause = "sbb_wrong_target"
                         wrong_pc = fallthrough
@@ -624,22 +698,13 @@ class _Lane:
                 if comp_on:
                     comp_on_btb_miss(first_line + entry_offset)
                 if kind is k_cond:
-                    predicted = tage_update(branch_pc, taken)
-                    if loop_on:
-                        lp = loop_predict(branch_pc)
-                        loop_update(branch_pc, taken)
-                        if lp is not None:
-                            predicted = lp
-                    if counting:
-                        s_cond_predictions += 1
-                        if predicted != taken:
-                            s_cond_mispredicts += 1
+                    # The predicted direction is ``taken == ok``.
                     if not taken:
-                        if predicted:
+                        if not ok:
                             resteer = "exec"
                             cause = "cond_mispredict"
                             wrong_pc = target
-                    elif predicted:
+                    elif ok:
                         resteer = "decode"
                         cause = "undetected_branch"
                         wrong_pc = fallthrough
@@ -647,42 +712,15 @@ class _Lane:
                         resteer = "exec"
                         cause = "cond_mispredict"
                         wrong_pc = fallthrough
-                elif kind is k_uncond or kind is k_call:
+                elif kind is k_uncond or kind is k_call or ok:
                     resteer = "decode"
                     cause = "undetected_branch"
                     wrong_pc = fallthrough
-                elif kind is k_return:
-                    predicted = ras_pop()
-                    correct = predicted == target
-                    if counting:
-                        s_ras_predictions += 1
-                        if predicted is None:
-                            s_ras_underflows += 1
-                        if not correct:
-                            s_ras_mispredicts += 1
-                    if correct:
-                        resteer = "decode"
-                        cause = "undetected_branch"
-                        wrong_pc = fallthrough
-                    else:
-                        resteer = "exec"
-                        cause = "ras_mispredict"
-                        wrong_pc = fallthrough
                 else:
-                    predicted = ittage_update(branch_pc, target)
-                    correct = predicted == target
-                    if counting:
-                        s_indirect_predictions += 1
-                        if not correct:
-                            s_indirect_mispredicts += 1
-                    if correct:
-                        resteer = "decode"
-                        cause = "undetected_branch"
-                        wrong_pc = fallthrough
-                    else:
-                        resteer = "exec"
-                        cause = "indirect_mispredict"
-                        wrong_pc = fallthrough
+                    resteer = "exec"
+                    cause = ("ras_mispredict" if kind is k_return
+                             else "indirect_mispredict")
+                    wrong_pc = fallthrough
 
             # Commit updates (bpu._commit_updates, inlined).
             btb_target = target if takes_target[kcode] else None
@@ -1053,8 +1091,11 @@ class BatchedFrontEndSimulator:
 
     def add_lane(self, simulator: FrontEndSimulator,
                  compiled: CompiledTrace, warmup: int = 0) -> None:
-        """Register one cell; raises :class:`BatchUnsupported` when the
-        cell needs per-record instrumentation only the object loop has."""
+        """Register one cell; raises :class:`BatchUnsupported` (a
+        ``ValueError``) when the cell needs per-record instrumentation
+        only the object loop has, or when the simulator has already
+        replayed records.  Builds the trace's predictor column on first
+        use (see :func:`predictor_column`)."""
         reason = batch_unsupported_reason(simulator)
         if reason is not None:
             raise BatchUnsupported(

@@ -46,6 +46,29 @@ RESTEER_CAUSES = (
 )
 
 
+def build_predictors(config: FrontEndConfig, seed: int
+                     ) -> tuple[TageLite, LoopPredictor | None, ITTageLite]:
+    """Fresh (TAGE-lite, loop predictor or None, ITTAGE-lite) for a BPU.
+
+    Their outcomes depend only on the trace, the knobs in
+    :func:`predictor_key` and ``seed``; keep the two functions in step.
+    """
+    tage = TageLite(
+        table_bits=config.tage_table_bits, tag_bits=config.tage_tag_bits,
+        history_lengths=config.tage_history_lengths, seed=seed)
+    loop = None
+    if config.use_loop_predictor:
+        loop = LoopPredictor(entries=config.loop_predictor_entries)
+    return tage, loop, ITTageLite(table_bits=config.ittage_table_bits)
+
+
+def predictor_key(config: FrontEndConfig, seed: int) -> tuple:
+    """Every input :func:`build_predictors` reads, as a hashable key."""
+    return (config.tage_table_bits, config.tage_tag_bits,
+            tuple(config.tage_history_lengths), config.ittage_table_bits,
+            config.use_loop_predictor, config.loop_predictor_entries, seed)
+
+
 @dataclass
 class Prediction:
     """How the front-end speculated on one branch."""
@@ -68,13 +91,10 @@ class BranchPredictionUnit:
             entries=config.btb_entries, assoc=config.btb_assoc,
             tag_bits=config.btb_tag_bits, entry_bits=config.btb_entry_bits,
             infinite=config.btb_infinite)
-        self.tage = TageLite(
-            table_bits=config.tage_table_bits, tag_bits=config.tage_tag_bits,
-            history_lengths=config.tage_history_lengths, seed=seed)
-        self.ittage = ITTageLite(table_bits=config.ittage_table_bits)
-        self.loop: LoopPredictor | None = None
-        if config.use_loop_predictor:
-            self.loop = LoopPredictor(entries=config.loop_predictor_entries)
+        #: The predictor seed; with :func:`predictor_key` it names the
+        #: direction/indirect outcome column the batched kernel shares.
+        self.seed = seed
+        self.tage, self.loop, self.ittage = build_predictors(config, seed)
         self.ras = ReturnAddressStack(depth=config.ras_depth)
         self.skia = skia
         # Optional Section 7.1 baseline implementing the

@@ -214,8 +214,6 @@ class LoopPredictor:
         self.confidence_threshold = confidence_threshold
         self.max_trip = max_trip
         self._table: dict[int, _LoopEntry] = {}  # insertion-ordered LRU
-        self.predictions = 0
-        self.overrides = 0
 
     def _entry(self, pc: int) -> _LoopEntry:
         entry = self._table.get(pc)

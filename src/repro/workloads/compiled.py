@@ -223,7 +223,8 @@ class TraceDecodeTable:
         # counter accumulators index by small int, avoiding enum hashing.
         self.kind_code = codes
         # Geometry-dependent index columns (BTB set/tag, L1 set numbers)
-        # cached per structure geometry by repro.frontend.batch.
+        # and predictor-outcome columns, cached per structure geometry
+        # and predictor key by repro.frontend.batch.
         self._lane_cols: dict = {}
 
 

@@ -15,6 +15,7 @@ import dataclasses
 import pytest
 
 import repro.workloads.compiled as compiled_mod
+from repro.frontend import batch as batch_mod
 from repro.frontend.batch import (
     BatchedFrontEndSimulator,
     BatchUnsupported,
@@ -27,6 +28,7 @@ from repro.harness.parallel import Cell, ParallelRunner
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scale import Scale
 from repro.obs import EventTrace
+from repro.obs.profiler import SectionProfiler
 from repro.workloads import (
     WORKLOAD_NAMES,
     build_program,
@@ -101,6 +103,41 @@ def test_lane_sharing_matches_independent_runs():
         expect_stats, expect_metrics = _object_run(program, records, config)
         assert dataclasses.asdict(stats) == expect_stats, name
         assert simulator.metrics_snapshot() == expect_metrics, name
+
+
+#: One non-default value per predictor-key input, plus the RAS depth,
+#: which lanes may vary while still sharing a column.
+_LANE_VARIANTS = {
+    "tage_table_bits": 10,
+    "tage_tag_bits": 7,
+    "tage_history_lengths": (3, 9, 27),
+    "ittage_table_bits": 8,
+    "use_loop_predictor": False,
+    "loop_predictor_entries": 64,
+    "ras_depth": 8,
+}
+
+
+@pytest.mark.parametrize("knob", [*_LANE_VARIANTS, "seed"])
+def test_predictor_column_keyed_by_every_knob(knob, monkeypatch):
+    """Two lanes that differ in one predictor knob (or the seed) get
+    their own columns; lanes differing only in RAS depth share one."""
+    profiler = SectionProfiler(enabled=True)
+    monkeypatch.setattr(batch_mod, "PROFILER", profiler)
+    program = build_program("voter", seed=0)
+    compiled = compile_trace(build_trace("voter", RECORDS, seed=0))
+    base = FrontEndConfig()
+    other, other_seed = base, 0
+    if knob == "seed":
+        other_seed = 1
+    else:
+        other = dataclasses.replace(base, **{knob: _LANE_VARIANTS[knob]})
+    batch = BatchedFrontEndSimulator()
+    batch.add_lane(FrontEndSimulator(program, base, seed=0), compiled)
+    batch.add_lane(FrontEndSimulator(program, other, seed=other_seed),
+                   compiled)
+    builds = profiler.stats()["trace.predictor_columns"].calls
+    assert builds == (1 if knob == "ras_depth" else 2)
 
 
 class TestEdgeCases:

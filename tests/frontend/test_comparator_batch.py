@@ -31,11 +31,13 @@ from repro.frontend.batch import (
 from repro.frontend.comparators import COMPARATOR_NAMES
 from repro.frontend.config import FrontEndConfig, SkiaConfig
 from repro.frontend.engine import FrontEndSimulator
+from repro.harness.experiments import _zoo_configs
 from repro.harness.parallel import Cell, ParallelRunner
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scale import Scale
 from repro.harness.store import ResultStore
 from repro.obs import ledger as ledger_mod
+from repro.obs.profiler import SectionProfiler
 from repro.workloads import build_program, build_trace, compile_trace
 
 RECORDS = 1_000
@@ -110,6 +112,47 @@ def test_comparator_lane_sharing():
         expect_stats, expect_metrics = _object_run(program, records, config)
         assert dataclasses.asdict(stats) == expect_stats, name
         assert simulator.metrics_snapshot() == expect_metrics, name
+
+
+def test_zoo_group_builds_one_predictor_column(monkeypatch):
+    """The ten comparator-zoo designs share one predictor config, so a
+    lane group over one trace replays the predictors once, not ten
+    times, and every lane still matches its oracle."""
+    profiler = SectionProfiler(enabled=True)
+    monkeypatch.setattr(batch, "PROFILER", profiler)
+    program = build_program("kafka", seed=0)
+    records = build_trace("kafka", RECORDS, seed=0)
+    compiled = compile_trace(records)
+    configs = list(_zoo_configs(FrontEndConfig()).values())
+    assert len(configs) == 10
+    group = BatchedFrontEndSimulator()
+    simulators = [FrontEndSimulator(program, config, seed=0)
+                  for config in configs]
+    for simulator in simulators:
+        group.add_lane(simulator, compiled, warmup=WARMUP)
+    assert profiler.stats()["trace.predictor_columns"].calls == 1
+    for simulator, stats, config in zip(simulators, group.run(), configs):
+        assert (dataclasses.asdict(stats), simulator.metrics_snapshot()) \
+            == _object_run(program, records, config)
+    assert profiler.stats()["trace.predictor_columns"].calls == 1
+
+
+def test_add_lane_refuses_trained_predictors():
+    """A lane replays predictor outcomes from fresh predictors, so a
+    simulator that already replayed records -- on the oracle, which
+    trains its predictors, or on the kernel, which leaves them
+    untrained but would restart the column -- is refused."""
+    program = build_program("kafka", seed=0)
+    compiled = compile_trace(build_trace("kafka", RECORDS, seed=0))
+    oracle = FrontEndSimulator(program, FrontEndConfig(), seed=0)
+    oracle.run_compiled(compiled, warmup=WARMUP)
+    kernel = FrontEndSimulator(program, FrontEndConfig(), seed=0)
+    run_compiled_batched(kernel, compiled, warmup=WARMUP)
+    assert kernel.bpu.tage.predictions == 0
+    for simulator in (oracle, kernel):
+        assert not batch_supported(simulator)
+        with pytest.raises(ValueError, match="already trained"):
+            BatchedFrontEndSimulator().add_lane(simulator, compiled)
 
 
 def test_comparator_cells_are_batch_supported():
